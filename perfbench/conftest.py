@@ -1,0 +1,6 @@
+"""The self-tests import the program from the source tree next to them."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
