@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -57,6 +58,12 @@ class Trajectory:
     points: List[GPSPoint]
 
     def __post_init__(self) -> None:
+        for i, p in enumerate(self.points):
+            if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.t)):
+                raise ValueError(
+                    f"trajectory point {i} is not finite: "
+                    f"x={p.x}, y={p.y}, t={p.t}"
+                )
         times = [p.t for p in self.points]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("trajectory points must be ordered by time")

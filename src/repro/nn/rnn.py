@@ -21,7 +21,9 @@ class GRUCell(Module):
     """One GRU step: ``h' = (1 - z) * h + z * h_tilde``.
 
     The update (z) and reset (r) gates share one fused projection — half
-    the matmuls of the textbook formulation, identical mathematics.
+    the matmuls of the textbook formulation, identical mathematics.  Inputs
+    are ``(..., dim)``: a ``(b, 1, dim)`` stack of rows runs each row as its
+    own ``(1, dim)`` matmul slice, bit-identical to ``b`` separate calls.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, seed: SeedLike = None) -> None:
@@ -35,8 +37,8 @@ class GRUCell(Module):
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         xh = concat([x, h], axis=-1)
         gates = self.w_zr(xh).sigmoid()
-        z = gates[:, : self.hidden_dim]
-        r = gates[:, self.hidden_dim :]
+        z = gates[..., : self.hidden_dim]
+        r = gates[..., self.hidden_dim :]
         candidate = self.w_h(concat([x, r * h], axis=-1)).tanh()
         return (1.0 - z) * h + z * candidate
 

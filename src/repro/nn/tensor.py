@@ -475,7 +475,9 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.max_detached(axis=axis, keepdims=True))
+    # Adding the negated max equals subtracting it bit-for-bit, and skips
+    # the two temporaries ``Tensor.__sub__`` builds for the negation.
+    shifted = x + Tensor(-x.max_detached(axis=axis, keepdims=True))
     exps = shifted.exp()
     return exps / exps.sum(axis=axis, keepdims=True)
 

@@ -33,7 +33,12 @@ from ...utils.rng import SeedLike, make_rng
 
 
 class RecoveryDecoder(Module):
-    """Sequential decoder over the route segments of ``H``."""
+    """Sequential decoder over the route segments of ``H``.
+
+    Every method takes stacked rows: hidden states are (b, 1, d_h), so
+    the GRU and the ratio head run each row as its own (1, K) matmul
+    slice and stay bit-identical to a batch of one.
+    """
 
     #: Bound on the learned correction to the prior ratio (keeps an
     #: undertrained head from doing worse than the prior it refines).
@@ -61,8 +66,9 @@ class RecoveryDecoder(Module):
         self.ratio_head = MLP(2 * d_h + extra, d_h, 1, seed=rng)
 
     def initial_state(self, fused: Tensor) -> Tensor:
-        """``h_0``: mean pooling over the rows of H (Algorithm 2 line 6)."""
-        return fused.mean(axis=0).reshape(1, self.d_h)
+        """``h_0`` of shape (b, 1, d_h): mean pooling over the rows of each
+        ``H`` in a (b, l_R, d_h) stack (Algorithm 2 line 6)."""
+        return fused.mean(axis=-2, keepdims=True)
 
     def scores(
         self,
@@ -70,72 +76,86 @@ class RecoveryDecoder(Module):
         fused: Tensor,
         segment_priors: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Segment scores ``w_{k,j}`` of shape (l_R,) (Eq. 15)."""
-        l_route = fused.shape[0]
-        tiled = hidden.reshape(1, self.d_h) * Tensor(np.ones((l_route, 1)))
+        """Segment scores ``w_{k,j}`` of shape (b, l_R) (Eq. 15).
+
+        ``hidden`` is (b, 1, d_h), ``fused`` a (b, l_R, d_h) stack of equal
+        route lengths and ``segment_priors`` (b, l_R, n_prior).  Each row
+        runs the classifier as its own (l_R, K) matmul slice, so a row's
+        scores do not depend on the other rows in the stack.
+        """
+        b, l_route = fused.shape[0], fused.shape[1]
+        tiled = hidden * Tensor(np.ones((1, l_route, 1)))
         parts = [fused, tiled]
         if self.use_prior:
             prior = (
                 segment_priors
                 if segment_priors is not None
-                else np.zeros((l_route, self.n_prior))
+                else np.zeros((b, l_route, self.n_prior))
             )
-            parts.append(Tensor(prior.reshape(l_route, self.n_prior)))
+            parts.append(Tensor(prior))
         pair = concat(parts, axis=-1)
-        return self.classifier(pair).reshape(l_route)
+        return self.classifier(pair).reshape(b, l_route)
+
+    def readout(self, fused: Tensor, scores: Tensor) -> Tensor:
+        """Attention readout ``psi_j H`` of shape (b, 1, d_h) (Eq. 18)."""
+        b, l_route = scores.shape
+        psi = softmax(scores, axis=-1).reshape(b, 1, l_route)
+        return psi.matmul(fused)
 
     def ratio(
         self,
         hidden: Tensor,
-        fused: Tensor,
-        scores: Tensor,
-        prior_ratio: float = 0.0,
+        readout: Tensor,
+        prior_ratio: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """Predicted position ratio (scalar tensor) (Eq. 18).
+        """Predicted position ratios of shape (b,) (Eq. 18).
 
-        With the positional prior the head is *residual*: it predicts a
-        bounded correction ``tanh(.)/2`` on top of the constant-speed prior
-        ratio, which converges in a handful of epochs at repo scale.  The
-        faithful variant (``use_prior=False``) is the paper's direct
-        ``sigmoid(MLP(.))``.
+        ``hidden`` and ``readout`` are (b, 1, d_h) stacks of any route
+        lengths; ``prior_ratio`` is (b,).  With the positional prior the
+        head is *residual*: it predicts a bounded correction ``tanh(.)/2``
+        on top of the constant-speed prior ratio, which converges in a
+        handful of epochs at repo scale.  The faithful variant
+        (``use_prior=False``) is the paper's direct ``sigmoid(MLP(.))``.
         """
-        psi = softmax(scores, axis=-1).reshape(1, fused.shape[0])
-        readout = psi.matmul(fused).reshape(self.d_h)
-        parts = [hidden.reshape(self.d_h), readout]
-        if self.use_prior:
-            parts.append(Tensor(np.array([prior_ratio])))
-        pair = concat(parts, axis=-1)
-        width = 2 * self.d_h + (1 if self.use_prior else 0)
-        raw = self.ratio_head(pair.reshape(1, width))
+        b = hidden.shape[0]
         if not self.use_prior:
-            return raw.sigmoid().reshape(1)
-        correction = raw.tanh().reshape(1) * self.MAX_RATIO_CORRECTION
-        shifted = correction + prior_ratio
-        # Clip into [0, 1) smoothly via a linear pass-through: values are
-        # clamped at decode time; training keeps the gradient alive.
-        return shifted
+            raw = self.ratio_head(concat([hidden, readout], axis=-1))
+            return raw.sigmoid().reshape(b)
+        prior = Tensor(
+            np.zeros((b, 1, 1))
+            if prior_ratio is None
+            else np.asarray(prior_ratio).reshape(b, 1, 1)
+        )
+        raw = self.ratio_head(concat([hidden, readout, prior], axis=-1))
+        # Not clipped into [0, 1) here: values are clamped at decode time,
+        # and training keeps the gradient alive through the pass-through.
+        return (raw.tanh() * self.MAX_RATIO_CORRECTION + prior).reshape(b)
 
     def step(
         self,
         hidden: Tensor,
         fused: Tensor,
         segment_priors: Optional[np.ndarray] = None,
-        prior_ratio: float = 0.0,
+        prior_ratio: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, Tensor]:
-        """One decoding step: (segment scores, predicted ratio)."""
+        """One decoding step of an equal-``l_R`` stack: (segment scores,
+        predicted ratios)."""
         w = self.scores(hidden, fused, segment_priors)
-        r = self.ratio(hidden, fused, w, prior_ratio)
+        r = self.ratio(hidden, self.readout(fused, w), prior_ratio)
         return w, r
 
     def advance(
         self,
         hidden: Tensor,
-        fused: Tensor,
-        segment_index: int,
-        ratio_value: float,
-        t_norm: float = 0.0,
+        emitted: Tensor,
+        ratios: np.ndarray,
+        t_norms: np.ndarray,
     ) -> Tensor:
-        """Next hidden state given the emitted point (Fig. 4's feedback)."""
-        seg_embedding = fused[segment_index].reshape(1, self.d_h)
-        extras = Tensor(np.array([[ratio_value, t_norm]]))
-        return self.gru(concat([seg_embedding, extras], axis=-1), hidden)
+        """Next hidden states given the emitted points (Fig. 4's feedback).
+
+        ``emitted`` is the (b, 1, d_h) stack of the emitted segments' rows
+        of ``H``; ``ratios`` and ``t_norms`` are (b,).
+        """
+        b = hidden.shape[0]
+        extras = Tensor(np.stack([ratios, t_norms], axis=-1).reshape(b, 1, 2))
+        return self.gru(concat([emitted, extras], axis=-1), hidden)

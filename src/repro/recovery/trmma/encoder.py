@@ -15,11 +15,12 @@ classifies over.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...data.trajectory import MapMatchedPoint, Trajectory
+from ...matching.mma.matcher import _length_buckets
 from ...network.road_network import RoadNetwork
 from ...nn import (
     Embedding,
@@ -74,7 +75,7 @@ class DualFormerEncoder(Module):
     def encode_trajectory(
         self, point_features: np.ndarray, point_segments: np.ndarray
     ) -> Tensor:
-        """``T`` of shape (l, d_h) from per-point features and segment ids."""
+        """``T`` of shape (..., l, d_h) from per-point features and segment ids."""
         seg = self.segment_embedding(point_segments)
         t0 = concat([Tensor(point_features), seg], axis=-1)
         t1 = self.point_fc(t0)
@@ -85,35 +86,72 @@ class DualFormerEncoder(Module):
         route_ids: np.ndarray,
         attributes: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """``R`` of shape (l_R, d_h) from segment ids (+ road attributes).
+        """``R`` of shape (..., l_R, d_h) from segment ids (+ road attributes).
 
-        ``attributes`` is (l_R, 2): [exit signalised, speed factor - 1].
+        ``attributes`` is (..., l_R, 2): [exit signalised, speed factor - 1].
         """
+        route_ids = np.asarray(route_ids)
         r1 = self.segment_embedding(route_ids) + self.route_bias
         if attributes is not None:
-            attrs = np.asarray(attributes, dtype=np.float64).reshape(-1, 2)
-            r1 = r1 + self.attribute_fc(Tensor(attrs))
+            attrs = np.asarray(attributes, dtype=np.float64)
+            r1 = r1 + self.attribute_fc(Tensor(attrs.reshape(*route_ids.shape, 2)))
         return self.route_transformer(r1)
 
     def fuse(self, trajectory_repr: Tensor, route_repr: Tensor) -> Tensor:
         """Route-to-trajectory attention fusion (Eq. 13-14)."""
         if not self.use_fusion:
             return route_repr
-        scores = route_repr.matmul(trajectory_repr.T)  # (l_R, l)
+        scores = route_repr.matmul(trajectory_repr.T)  # (..., l_R, l)
         beta = softmax(scores, axis=-1)
         return route_repr + beta.matmul(trajectory_repr)
 
     def forward(
         self,
-        point_features: np.ndarray,
-        point_segments: np.ndarray,
-        route_ids: np.ndarray,
-        route_attributes: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """The fused ``H`` of shape (l_R, d_h)."""
-        t_repr = self.encode_trajectory(point_features, point_segments)
-        r_repr = self.encode_route(route_ids, route_attributes)
-        return self.fuse(t_repr, r_repr)
+        point_features: Sequence[np.ndarray],
+        point_segments: Sequence[np.ndarray],
+        route_ids: Sequence[np.ndarray],
+        route_attributes: Optional[Sequence[np.ndarray]] = None,
+    ) -> List[Tuple[np.ndarray, Tensor]]:
+        """The fused ``H`` of a batch of trajectories, one bucket per route
+        length: ``(rows, H)`` pairs where ``H`` is (len(rows), l_R, d_h) and
+        ``rows`` are the trajectories' positions in the batch.
+
+        Nothing is padded, so every row is bit-identical to a batch of one:
+        the trajectory side runs in buckets of equal ``l``, the route side
+        in buckets of equal ``l_R``, and the fusion in buckets of equal
+        ``(l, l_R)``.
+        """
+        trajectory_slots: Dict[int, Tuple[Tensor, int]] = {}
+        for rows in _length_buckets([len(f) for f in point_features]):
+            t_repr = self.encode_trajectory(
+                np.stack([point_features[i] for i in rows]),
+                np.stack([point_segments[i] for i in rows]),
+            )
+            for position, i in enumerate(rows):
+                trajectory_slots[i] = (t_repr, position)
+
+        buckets: List[Tuple[np.ndarray, Tensor]] = []
+        for rows in _length_buckets([len(r) for r in route_ids]):
+            r_repr = self.encode_route(
+                np.stack([route_ids[i] for i in rows]),
+                None
+                if route_attributes is None
+                else np.stack([route_attributes[i] for i in rows]),
+            )
+            if not self.use_fusion:
+                buckets.append((np.asarray(rows), r_repr))
+                continue
+            order: List[int] = []
+            parts: List[Tensor] = []
+            for group in _length_buckets([len(point_features[i]) for i in rows]):
+                members = [rows[g] for g in group]
+                t_repr = trajectory_slots[members[0]][0]
+                positions = np.asarray([trajectory_slots[i][1] for i in members])
+                parts.append(self.fuse(t_repr[positions], r_repr[np.asarray(group)]))
+                order.extend(members)
+            fused = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+            buckets.append((np.asarray(order), fused))
+        return buckets
 
 
 def build_point_features(

@@ -80,13 +80,16 @@ def _local_ratio(route_cum: np.ndarray, offset: float) -> Tuple[int, float]:
     return idx, float(np.clip(ratio, 0.0, np.nextafter(1.0, 0.0)))
 
 
-def _ratio_within(route_cum: np.ndarray, index: int, offset: float) -> float:
+def _ratio_within(route_cum: np.ndarray, index, offset):
     """Expected within-segment ratio of segment ``index`` given the
     expected linear ``offset`` (clamped to the segment's span) — the prior
-    the ratio head refines, always consistent with the chosen segment."""
-    length = max(float(route_cum[index + 1] - route_cum[index]), 1e-9)
-    ratio = (offset - float(route_cum[index])) / length
-    return float(np.clip(ratio, 0.0, np.nextafter(1.0, 0.0)))
+    the ratio head refines, always consistent with the chosen segment.
+
+    ``index`` and ``offset`` may be arrays of equal shape (one entry per
+    row, indexing one flat ``route_cum``)."""
+    start = route_cum[index]
+    length = np.maximum(route_cum[index + 1] - start, 1e-9)
+    return np.clip((offset - start) / length, 0.0, np.nextafter(1.0, 0.0))
 
 
 def build_example(network: RoadNetwork, sample) -> RecoveryExample:
@@ -156,27 +159,32 @@ class TRMMAModel(Module):
     PRIOR_BANDWIDTH_M = 80.0
 
     @classmethod
-    def _segment_priors(
-        cls, route_cum: np.ndarray, expected_offset: float
-    ) -> np.ndarray:
-        """Per-segment prior basis (l_R, 3): signed scaled offset of the
+    def _segment_priors(cls, route_cum: np.ndarray, expected_offset) -> np.ndarray:
+        """Per-segment prior basis (..., l_R, 3): signed scaled offset of the
         segment midpoint from the expected travel position, its absolute
-        value, and a Gaussian bump peaking at the expected position."""
-        mids = (route_cum[:-1] + route_cum[1:]) / 2.0
-        total = max(float(route_cum[-1]), 1.0)
-        signed = (mids - expected_offset) / total
-        bump = np.exp(-((mids - expected_offset) / cls.PRIOR_BANDWIDTH_M) ** 2)
-        return np.stack([signed, np.abs(signed), bump], axis=1)
+        value, and a Gaussian bump peaking at the expected position.
+
+        ``route_cum`` is (..., l_R + 1) and ``expected_offset`` broadcasts
+        against its leading axes (a scalar for one route, (b,) for a stack
+        of b equal-length routes or b positions on one route)."""
+        route_cum = np.asarray(route_cum)
+        expected = np.asarray(expected_offset)[..., None]
+        mids = (route_cum[..., :-1] + route_cum[..., 1:]) / 2.0
+        total = np.maximum(route_cum[..., -1:], 1.0)
+        signed = (mids - expected) / total
+        bump = np.exp(-((mids - expected) / cls.PRIOR_BANDWIDTH_M) ** 2)
+        return np.stack([signed, np.abs(signed), bump], axis=-1)
 
     # ---------------------------------------------------------------- training
 
     def training_loss(self, example: RecoveryExample) -> Tensor:
-        """Teacher-forced loss ``L_seg + λ L_r`` for one trajectory (Eq. 21)."""
-        fused = self.encoder(
-            example.point_features,
-            example.point_segments,
-            example.route,
-            example.route_attributes,
+        """Teacher-forced loss ``L_seg + λ L_r`` for one trajectory (Eq. 21),
+        run through the stacked decoder as a batch of one."""
+        ((_, fused),) = self.encoder(
+            [example.point_features],
+            [example.point_segments],
+            [example.route],
+            [example.route_attributes],
         )
         hidden = self.decoder.initial_state(fused)
         l_route = len(example.route)
@@ -188,7 +196,7 @@ class TRMMAModel(Module):
             ratio = float(example.dense_ratios[j])
             t_norm = float(example.dense_times_norm[j])
             if j > 0 and not example.dense_observed[j]:
-                expected = float(example.dense_expected_offsets[j])
+                expected = example.dense_expected_offsets[j : j + 1]
                 priors = self._segment_priors(example.route_cum, expected)
                 prior_ratio = _ratio_within(example.route_cum, idx, expected)
                 scores, predicted_ratio = self.decoder.step(
@@ -196,10 +204,12 @@ class TRMMAModel(Module):
                 )
                 labels = np.zeros(l_route)
                 labels[idx] = 1.0
-                seg_losses.append(bce_with_logits(scores, labels))
+                seg_losses.append(bce_with_logits(scores.reshape(l_route), labels))
                 ratio_losses.append((predicted_ratio - ratio).abs().reshape(1).sum())
             # Teacher forcing: advance with the ground-truth point.
-            hidden = self.decoder.advance(hidden, fused, idx, ratio, t_norm)
+            hidden = self.decoder.advance(
+                hidden, fused[:, idx : idx + 1], np.array([ratio]), np.array([t_norm])
+            )
 
         loss = Tensor(np.zeros(()))
         if seg_losses:
@@ -218,72 +228,195 @@ class TRMMAModel(Module):
     def decode(
         self,
         network: RoadNetwork,
-        trajectory: Trajectory,
-        observed: Sequence[MapMatchedPoint],
-        route: Sequence[int],
+        trajectories: Sequence[Trajectory],
+        observed: Sequence[Sequence[MapMatchedPoint]],
+        routes: Sequence[Sequence[int]],
         epsilon: float,
-    ) -> MatchedTrajectory:
-        """Greedy recovery of the ε-sampling trajectory (Algorithm 2)."""
+    ) -> List[MatchedTrajectory]:
+        """Greedy recovery of ε-sampling trajectories (Algorithm 2), one
+        per input; a single trajectory is a batch of one.
+
+        Every trajectory is a schedule of events: each observed point is an
+        *anchor* (the GRU advances with it verbatim) and each missing point
+        a *prediction* (classify, read out the ratio, then advance).  The
+        decoder runs the schedules in lock-step — event ``k`` of every
+        unfinished trajectory in one call — and rows leave the batch as
+        their schedules end.  Hidden states stay (b, 1, d_h) stacks and the
+        classifier and softmax readout run in buckets of equal route length,
+        never padded or flattened, so each row is bit-identical to decoding
+        its trajectory alone.
+        """
         self.eval()
-        features = build_point_features(network, trajectory, list(observed))
-        segments = np.asarray([a.edge_id for a in observed])
-        route_arr = np.asarray(route)
-        attrs = route_attributes(network, route)
-        fused = self.encoder(features, segments, route_arr, attrs)
-        hidden = self.decoder.initial_state(fused)
+        if not trajectories:
+            return []
+        observed = [list(points) for points in observed]
+        routes = [list(route) for route in routes]
+        buckets = self.encoder(
+            [
+                build_point_features(network, trajectory, points)
+                for trajectory, points in zip(trajectories, observed)
+            ],
+            [np.asarray([a.edge_id for a in points]) for points in observed],
+            [np.asarray(route) for route in routes],
+            [route_attributes(network, route) for route in routes],
+        )
+        cums = [route_cumulative_lengths(network, route) for route in routes]
+        plans = [
+            _DecodePlan.build(*inputs, epsilon)
+            for inputs in zip(trajectories, observed, routes, cums)
+        ]
+        lengths = np.asarray([len(plan.predict) for plan in plans])
+        grid = _DecodePlan.stack(plans, int(lengths.max()))
 
-        observed_indices = route_index_of_segments(
-            list(route), [a.edge_id for a in observed]
+        n, d_h = len(routes), self.decoder.d_h
+        hidden = np.empty((n, 1, d_h))
+        bucket_of = np.empty(n, dtype=np.int64)
+        slot_of = np.empty(n, dtype=np.int64)
+        for b, (rows, fused) in enumerate(buckets):
+            hidden[rows] = self.decoder.initial_state(fused).data
+            bucket_of[rows], slot_of[rows] = b, np.arange(len(rows))
+        bucket_fused = [fused.data for _, fused in buckets]
+        bucket_cum = [np.stack([cums[i] for i in rows]) for rows, _ in buckets]
+        # Flat per-row tables: H rows for the GRU input, cumulative lengths
+        # for the ratio prior.
+        flat_fused = np.concatenate(
+            [bucket_fused[bucket_of[i]][slot_of[i]] for i in range(n)]
         )
-        route_cum = route_cumulative_lengths(network, list(route))
-        observed_offsets = _point_offsets(
-            route_cum, observed_indices, [a.ratio for a in observed]
-        )
-        counts = missing_point_counts(trajectory, epsilon)
+        fused_start = np.cumsum([0] + [len(route) for route in routes])[:-1]
+        flat_cum = np.concatenate(cums)
+        cum_start = np.cumsum([0] + [len(cum) for cum in cums])[:-1]
 
-        start_t = observed[0].t
-        horizon = max(observed[-1].t - start_t, 1.0)
-        points: List[MapMatchedPoint] = [observed[0]]
-        hidden = self.decoder.advance(
-            hidden, fused, observed_indices[0], observed[0].ratio, 0.0
-        )
-        prev_idx = observed_indices[0]
-        for i, n_missing in enumerate(counts):
-            t0, t1 = observed[i].t, observed[i + 1].t
-            o0, o1 = observed_offsets[i], observed_offsets[i + 1]
-            span = max(t1 - t0, 1e-9)
-            # Missing points of this gap lie on the sub-route between the
-            # two observed anchors: Eq. 17's lower bound plus the upper
-            # bound the gap's right anchor provides at inference time.
-            upper_idx = max(observed_indices[i + 1], prev_idx)
-            for j in range(1, n_missing + 1):
-                t = t0 + j * epsilon
-                expected = o0 + (t - t0) / span * (o1 - o0)
-                priors = self._segment_priors(route_cum, expected)
-                scores = self.decoder.scores(hidden, fused, priors)
-                probs = scores.data
-                masked = np.full_like(probs, -np.inf)
-                masked[prev_idx : upper_idx + 1] = probs[prev_idx : upper_idx + 1]
-                idx = int(masked.argmax())
-                prior_ratio = _ratio_within(route_cum, idx, expected)
-                predicted_ratio = self.decoder.ratio(
-                    hidden, fused, scores, prior_ratio
+        for k in range(grid.predict.shape[1]):
+            live = np.flatnonzero(lengths > k)
+            rows = live[grid.predict[live, k]]
+            if len(rows):
+                expected = grid.expected[rows, k]
+                picked = np.empty(len(rows), dtype=np.int64)
+                readout = np.empty((len(rows), 1, d_h))
+                for b in np.flatnonzero(np.bincount(bucket_of[rows])):
+                    members = np.flatnonzero(bucket_of[rows] == b)
+                    sub = rows[members]
+                    fused = Tensor(bucket_fused[b][slot_of[sub]])
+                    priors = self._segment_priors(
+                        bucket_cum[b][slot_of[sub]], expected[members]
+                    )
+                    scores = self.decoder.scores(Tensor(hidden[sub]), fused, priors)
+                    # Eq. 17 plus the gap's right anchor: the argmax runs
+                    # over the sub-route from the previously emitted
+                    # segment up to the anchor's.
+                    span = np.arange(scores.shape[1])
+                    allowed = (span >= grid.index[sub, k - 1, None]) & (
+                        span <= grid.upper[sub, k, None]
+                    )
+                    masked = np.where(allowed, scores.data, -np.inf)
+                    picked[members] = masked.argmax(axis=1)
+                    readout[members] = self.decoder.readout(fused, scores).data
+                prior = _ratio_within(flat_cum, cum_start[rows] + picked, expected)
+                predicted = self.decoder.ratio(
+                    Tensor(hidden[rows]), Tensor(readout), prior
+                ).data
+                grid.index[rows, k] = picked
+                grid.ratio[rows, k] = np.minimum(
+                    np.maximum(predicted, 0.0), np.nextafter(1.0, 0.0)
                 )
-                ratio = float(predicted_ratio.data[0])
-                ratio = min(max(ratio, 0.0), np.nextafter(1.0, 0.0))
-                points.append(
-                    MapMatchedPoint(edge_id=int(route_arr[idx]), ratio=ratio, t=t)
+            emitted = flat_fused[fused_start[live] + grid.index[live, k]]
+            hidden[live] = self.decoder.advance(
+                Tensor(hidden[live]),
+                Tensor(emitted.reshape(len(live), 1, d_h)),
+                grid.ratio[live, k],
+                grid.t_norm[live, k],
+            ).data
+
+        results: List[MatchedTrajectory] = []
+        for i, (route, points) in enumerate(zip(routes, observed)):
+            anchors = iter(points)
+            results.append(
+                MatchedTrajectory(
+                    [
+                        MapMatchedPoint(
+                            edge_id=int(route[grid.index[i, k]]),
+                            ratio=float(grid.ratio[i, k]),
+                            t=float(grid.t[i, k]),
+                        )
+                        if grid.predict[i, k]
+                        else next(anchors)
+                        for k in range(lengths[i])
+                    ]
                 )
-                hidden = self.decoder.advance(
-                    hidden, fused, idx, ratio, (t - start_t) / horizon
-                )
-                prev_idx = idx
-            nxt = observed[i + 1]
-            points.append(nxt)
-            # The observed anchor pins the vehicle's route position; the
-            # next gap continues from it.
-            prev_idx = observed_indices[i + 1]
-            hidden = self.decoder.advance(
-                hidden, fused, prev_idx, nxt.ratio, (nxt.t - start_t) / horizon
             )
-        return MatchedTrajectory(points)
+        return results
+
+
+@dataclass
+class _DecodePlan:
+    """Decode schedules: an event per output point, in order — the observed
+    anchors and, between them, the missing points.  One trajectory's plan
+    holds (n,) arrays; :meth:`stack` pads plans into (rows, events) grids."""
+
+    predict: np.ndarray  # bool: missing point (else observed anchor)
+    t: np.ndarray  # timestamp
+    t_norm: np.ndarray  # timestamp normalised over the trajectory
+    expected: np.ndarray  # constant-speed offset along the route
+    upper: np.ndarray  # int: last route index a prediction may take
+    index: np.ndarray  # int: route index (given for anchors, decoded otherwise)
+    ratio: np.ndarray  # position ratio (given for anchors, decoded otherwise)
+
+    @classmethod
+    def build(
+        cls,
+        trajectory: Trajectory,
+        observed: List[MapMatchedPoint],
+        route: List[int],
+        route_cum: np.ndarray,
+        epsilon: float,
+    ) -> "_DecodePlan":
+        obs_index = np.asarray(
+            route_index_of_segments(route, [a.edge_id for a in observed]),
+            dtype=np.int64,
+        )
+        obs_t = np.asarray([a.t for a in observed], dtype=np.float64)
+        obs_ratio = np.asarray([a.ratio for a in observed], dtype=np.float64)
+        offsets = _point_offsets(route_cum, obs_index, obs_ratio)
+        counts = np.asarray(missing_point_counts(trajectory, epsilon), dtype=np.int64)
+        # Missing point j (1-based) of gap g sits at t_g + j ε, at the
+        # time-interpolated offset between the gap's two anchors; its
+        # segment lies on the sub-route up to the gap's right anchor.
+        gap = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(1, len(gap) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        t0 = obs_t[gap]
+        t = t0 + j * epsilon
+        span = np.maximum(obs_t[gap + 1] - t0, 1e-9)
+
+        n = len(observed) + len(gap)
+        anchor = np.arange(len(observed)) + np.concatenate([[0], np.cumsum(counts)])
+        missing = np.arange(len(gap)) + gap + 1
+        plan = cls(
+            predict=np.zeros(n, dtype=bool),
+            t=np.zeros(n),
+            t_norm=np.zeros(n),
+            expected=np.zeros(n),
+            upper=np.zeros(n, dtype=np.int64),
+            index=np.zeros(n, dtype=np.int64),
+            ratio=np.zeros(n),
+        )
+        plan.predict[missing] = True
+        plan.t[anchor], plan.t[missing] = obs_t, t
+        plan.t_norm = (plan.t - obs_t[0]) / max(obs_t[-1] - obs_t[0], 1.0)
+        plan.expected[missing] = offsets[gap] + (t - t0) / span * (
+            offsets[gap + 1] - offsets[gap]
+        )
+        plan.upper[missing] = np.maximum(obs_index[gap + 1], obs_index[gap])
+        plan.index[anchor] = obs_index
+        plan.ratio[anchor] = obs_ratio
+        return plan
+
+    @classmethod
+    def stack(cls, plans: Sequence["_DecodePlan"], width: int) -> "_DecodePlan":
+        fields = {}
+        for name in cls.__dataclass_fields__:
+            dtype = getattr(plans[0], name).dtype
+            fields[name] = np.zeros((len(plans), width), dtype)
+            for row, plan in enumerate(plans):
+                values = getattr(plan, name)
+                fields[name][row, : len(values)] = values
+        return cls(**fields)

@@ -182,9 +182,10 @@ class TRMMARecoverer(TrajectoryRecoverer):
         route = self.matcher.stitch([a.edge_id for a in observed])
         observed = reproject_onto_route(self.network, trajectory, observed, route)
         with no_grad(), span("decode"):
-            return self.model.decode(
-                self.network, trajectory, observed, route, epsilon
+            (recovered,) = self.model.decode(
+                self.network, [trajectory], [observed], [route], epsilon
             )
+        return recovered
 
     def recover_many(
         self,
@@ -195,9 +196,12 @@ class TRMMARecoverer(TrajectoryRecoverer):
         """Batched form of :meth:`recover`, identical outputs per trajectory.
 
         The matcher stage (Algorithm 2 line 1) runs through the matcher's
-        batched inference path, and stitching amortises the planner's route
-        cache across the whole set; the multitask decoder itself stays
-        per-sample because it is autoregressive.
+        batched inference path, stitching amortises the planner's route
+        cache across the whole set, and the multitask decoder advances every
+        trajectory in lock-step (:meth:`TRMMAModel.decode`): one call per
+        decoding event for the whole set, with hidden states stacked as
+        (b, 1, d_h) rows and the classifier bucketed by route length, so
+        each trajectory's output is bit-identical to decoding it alone.
         """
         trajectories = list(trajectories)
         all_segments = self.matcher.match_points_many(
@@ -223,8 +227,9 @@ class TRMMARecoverer(TrajectoryRecoverer):
         """
         from ...matching.base import reproject_onto_route
 
+        trajectories = list(trajectories)
         routes: List[List[int]] = []
-        results: List[MatchedTrajectory] = []
+        all_observed: List[List[MapMatchedPoint]] = []
         for trajectory, segments in zip(trajectories, all_segments):
             observed = [
                 MapMatchedPoint(
@@ -235,14 +240,12 @@ class TRMMARecoverer(TrajectoryRecoverer):
                 for p, edge_id in zip(trajectory, segments)
             ]
             route = self.matcher.stitch(segments)
-            observed = reproject_onto_route(
-                self.network, trajectory, observed, route
+            all_observed.append(
+                reproject_onto_route(self.network, trajectory, observed, route)
             )
-            with no_grad(), span("decode"):
-                results.append(
-                    self.model.decode(
-                        self.network, trajectory, observed, route, epsilon
-                    )
-                )
             routes.append(route)
+        with no_grad(), span("decode"):
+            results = self.model.decode(
+                self.network, trajectories, all_observed, routes, epsilon
+            )
         return routes, results

@@ -8,6 +8,8 @@ shapes returned.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Pipeline, legacy
@@ -18,6 +20,7 @@ from repro.config import (
     TRMMAConfig,
 )
 from repro.data.datasets import build_dataset
+from repro.data.trajectory import Trajectory
 from repro.matching import attach_planner_statistics
 from repro.matching.mma.matcher import MMAMatcher
 from repro.network.node2vec import Node2VecConfig
@@ -130,6 +133,18 @@ def test_match_and_recover_single_matcher_pass(dataset, fitted_pipeline):
     )
     assert routes == fitted_pipeline.match(trajectories)
     assert len(dense) == len(trajectories)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("x", float("nan")), ("y", float("inf")), ("t", float("nan"))]
+)
+def test_non_finite_point_is_a_typed_error(dataset, fitted_pipeline, field, value):
+    points = list(dataset.test[0].sparse.points)
+    points[1] = replace(points[1], **{field: value})
+    with pytest.raises(ValueError, match="trajectory point 1 is not finite"):
+        fitted_pipeline.match([Trajectory(points)])
+    with pytest.raises(ValueError, match="trajectory point 1 is not finite"):
+        fitted_pipeline.recover([Trajectory(points)], dataset.epsilon)
 
 
 def test_from_components_rejects_foreign_matcher(dataset, fitted_pipeline):

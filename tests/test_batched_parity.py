@@ -9,10 +9,17 @@ backing route memoisation.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import TRMMAConfig
 from repro.data.datasets import build_dataset
+from repro.data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
+from repro.matching import FMMMatcher
+from repro.matching.base import reproject_onto_route
 from repro.matching.mma.candidates import candidate_sets, candidate_sets_batch
 from repro.matching.mma.features import MMAFeatureEncoder, stack_encoded
 from repro.matching.mma.matcher import MMAMatcher, _length_buckets
@@ -20,7 +27,13 @@ from repro.network.cache import LRUCache
 from repro.network.node2vec import Node2VecConfig
 from repro.network.routing import DARoutePlanner
 from repro.network.shortest_path import route_between_segments
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor, concat, no_grad, softmax
+from repro.recovery.base import missing_point_counts
+from repro.recovery.route_utils import (
+    route_cumulative_lengths,
+    route_index_of_segments,
+)
+from repro.recovery.trmma.encoder import build_point_features, route_attributes
 from repro.recovery.trmma.recoverer import TRMMARecoverer
 from repro.spatial.grid import UniformGrid
 from repro.spatial.rtree import STRtree
@@ -246,6 +259,179 @@ def test_trmma_gradient_accumulation_runs(trained_matcher, dataset):
     loss = recoverer.fit_epoch(dataset, batch_size=4)
     assert np.isfinite(loss) and loss > 0.0
 
+
+# ------------------------------------------- per-trajectory decode oracle
+
+
+def decode_per_trajectory(model, network, trajectory, observed, route, epsilon):
+    """Greedy recovery (Algorithm 2) of one trajectory, one missing point at
+    a time, with unstacked (1, d_h) hidden states and 2-D layer calls: the
+    reference the lock-step batched decode must reproduce bit-for-bit."""
+    encoder, decoder = model.encoder, model.decoder
+    d_h = decoder.d_h
+    features = build_point_features(network, trajectory, observed)
+    t_repr = encoder.encode_trajectory(
+        features, np.asarray([a.edge_id for a in observed])
+    )
+    r_repr = encoder.encode_route(
+        np.asarray(route), route_attributes(network, route)
+    )
+    fused = encoder.fuse(t_repr, r_repr)
+    l_route = len(route)
+    route_cum = route_cumulative_lengths(network, route)
+    mids = (route_cum[:-1] + route_cum[1:]) / 2.0
+    total = max(float(route_cum[-1]), 1.0)
+
+    def step(hidden, expected, lower, upper):
+        signed = (mids - expected) / total
+        bump = np.exp(-((mids - expected) / model.PRIOR_BANDWIDTH_M) ** 2)
+        priors = np.stack([signed, np.abs(signed), bump], axis=1)
+        tiled = hidden.reshape(1, d_h) * Tensor(np.ones((l_route, 1)))
+        pair = concat([fused, tiled, Tensor(priors)], axis=-1)
+        scores = decoder.classifier(pair).reshape(l_route)
+        masked = np.full(l_route, -np.inf)
+        masked[lower : upper + 1] = scores.data[lower : upper + 1]
+        idx = int(masked.argmax())
+        length = max(float(route_cum[idx + 1] - route_cum[idx]), 1e-9)
+        prior = (expected - float(route_cum[idx])) / length
+        prior = float(np.clip(prior, 0.0, np.nextafter(1.0, 0.0)))
+        psi = softmax(scores, axis=-1).reshape(1, l_route)
+        readout = psi.matmul(fused).reshape(d_h)
+        pair = concat(
+            [hidden.reshape(d_h), readout, Tensor(np.array([prior]))], axis=-1
+        )
+        raw = decoder.ratio_head(pair.reshape(1, 2 * d_h + 1))
+        ratio = float(
+            (raw.tanh().reshape(1) * decoder.MAX_RATIO_CORRECTION + prior).data[0]
+        )
+        return idx, min(max(ratio, 0.0), np.nextafter(1.0, 0.0))
+
+    def advance(hidden, idx, ratio, t_norm):
+        extras = Tensor(np.array([[ratio, t_norm]]))
+        x = concat([fused[idx].reshape(1, d_h), extras], axis=-1)
+        return decoder.gru(x, hidden)
+
+    indices = route_index_of_segments(route, [a.edge_id for a in observed])
+    offsets = [
+        route_cum[i] + a.ratio * (route_cum[i + 1] - route_cum[i])
+        for i, a in zip(indices, observed)
+    ]
+    start_t = observed[0].t
+    horizon = max(observed[-1].t - start_t, 1.0)
+    hidden = advance(
+        fused.mean(axis=0).reshape(1, d_h), indices[0], observed[0].ratio, 0.0
+    )
+    points = [observed[0]]
+    for i, n_missing in enumerate(missing_point_counts(trajectory, epsilon)):
+        t0, t1 = observed[i].t, observed[i + 1].t
+        span = max(t1 - t0, 1e-9)
+        prev_idx, upper = indices[i], max(indices[i + 1], indices[i])
+        for j in range(1, n_missing + 1):
+            t = t0 + j * epsilon
+            expected = offsets[i] + (t - t0) / span * (offsets[i + 1] - offsets[i])
+            prev_idx, ratio = step(hidden, expected, prev_idx, upper)
+            points.append(
+                MapMatchedPoint(edge_id=int(route[prev_idx]), ratio=ratio, t=t)
+            )
+            hidden = advance(hidden, prev_idx, ratio, (t - start_t) / horizon)
+        points.append(observed[i + 1])
+        hidden = advance(
+            hidden, indices[i + 1], observed[i + 1].ratio,
+            (observed[i + 1].t - start_t) / horizon,
+        )
+    return MatchedTrajectory(points)
+
+
+def _decode_inputs(recoverer, trajectories):
+    observed, routes = [], []
+    for trajectory in trajectories:
+        matched = recoverer.matcher.matched_points(trajectory)
+        route = recoverer.matcher.stitch([a.edge_id for a in matched])
+        observed.append(
+            reproject_onto_route(recoverer.network, trajectory, matched, route)
+        )
+        routes.append(route)
+    return observed, routes
+
+
+def _points(recovered):
+    return [(p.edge_id, p.ratio, p.t) for p in recovered.points]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [TRMMAConfig(d_h=16, ffn_hidden=32), TRMMAConfig()],
+    ids=["d_h16", "defaults"],
+)
+def test_lockstep_decode_matches_per_trajectory_oracle(
+    trained_matcher, dataset, config
+):
+    """At the default widths a row's GRU input is 2 * 64 + 2 = 130 wide,
+    where one flat (b, K) GEMM would round differently from b per-row
+    (1, K) slices; the (b, 1, K) stacks and route-length buckets must
+    keep every row bit-identical to the oracle."""
+    recoverer = TRMMARecoverer.from_config(
+        dataset.network, trained_matcher, config, seed=2
+    )
+    recoverer.fit_epoch(dataset)
+    base = [s.sparse for s in dataset.test + dataset.val]
+    first, second, *rest = base[1].points
+    # A point 1 s after the first one: a gap with zero missing points.
+    no_missing = Trajectory([first, replace(second, t=first.t + 1.0), second, *rest])
+    trajectories = base + [Trajectory(base[0].points[:2]), no_missing]
+    observed, routes = _decode_inputs(recoverer, trajectories)
+    epsilon = dataset.epsilon
+
+    route_lengths = Counter(len(route) for route in routes)
+    assert len(route_lengths) > 1 and 1 in route_lengths.values()
+    assert 0 in missing_point_counts(no_missing, epsilon)
+    assert len(trajectories[-2]) == 2
+
+    model, network = recoverer.model, dataset.network
+    with no_grad():
+        oracle = [
+            decode_per_trajectory(model, network, *inputs, epsilon)
+            for inputs in zip(trajectories, observed, routes)
+        ]
+        batched = model.decode(network, trajectories, observed, routes, epsilon)
+        (alone,) = model.decode(
+            network, trajectories[:1], observed[:1], routes[:1], epsilon
+        )
+        many = recoverer.recover_many(trajectories, epsilon)
+    expected = [_points(m) for m in oracle]
+    assert [_points(m) for m in batched] == expected
+    assert _points(alone) == expected[0]
+    assert [_points(m) for m in many] == expected
+
+
+def test_lockstep_decode_builds_few_tensors(tiny_dataset, monkeypatch):
+    """Lock-step decoding amortises the per-step graph over the batch: a
+    deterministic guard against a per-trajectory loop creeping back."""
+    recoverer = TRMMARecoverer(
+        tiny_dataset.network, FMMMatcher(tiny_dataset.network),
+        d_h=16, ffn_hidden=32, seed=0,
+    )
+    trajectories = [
+        s.sparse for s in tiny_dataset.train + tiny_dataset.val + tiny_dataset.test
+    ]
+    observed, routes = _decode_inputs(recoverer, trajectories)
+    created = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        created[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    with no_grad():
+        for inputs in zip(trajectories, observed, routes):
+            decode_per_trajectory(
+                recoverer.model, tiny_dataset.network, *inputs,
+                tiny_dataset.epsilon,
+            )
+    per_trajectory, created[0] = created[0], 0
+    recoverer.recover_many(trajectories, tiny_dataset.epsilon)
+    assert created[0] * 5 <= per_trajectory
 
 # ------------------------------------------------------- parallel engine
 

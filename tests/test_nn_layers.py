@@ -168,6 +168,17 @@ class TestGRU:
         h = cell(Tensor(rng.normal(size=(1, 5))), Tensor(np.zeros((1, 8))))
         assert h.shape == (1, 8)
 
+    def test_cell_stacked_rows_match_separate_calls(self):
+        # TRMMA's decoder width: the concatenated input is 2 * 64 + 2 wide.
+        cell = GRUCell(66, 64, seed=0)
+        x = rng.normal(size=(7, 1, 66))
+        h = rng.normal(size=(7, 1, 64))
+        stacked = cell(Tensor(x), Tensor(h)).data
+        assert stacked.shape == (7, 1, 64)
+        for i in range(7):
+            single = cell(Tensor(x[i]), Tensor(h[i])).data
+            assert (stacked[i] == single).all()
+
     def test_sequence_output(self):
         gru = GRU(3, 6, seed=0)
         outs, final = gru(Tensor(rng.normal(size=(4, 3))))

@@ -35,8 +35,9 @@ class TestTRMMADecodeInvariants:
         observed = reproject_onto_route(
             tiny_dataset.network, s.sparse, observed, route
         )
-        out = trained_trmma.model.decode(
-            tiny_dataset.network, s.sparse, observed, route, tiny_dataset.epsilon
+        (out,) = trained_trmma.model.decode(
+            tiny_dataset.network, [s.sparse], [observed], [route],
+            tiny_dataset.epsilon,
         )
         cum = route_cumulative_lengths(tiny_dataset.network, route)
         cursor = 0

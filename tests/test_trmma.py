@@ -47,28 +47,29 @@ class TestEncoder:
 
     def test_fused_shape_one_row_per_route_segment(self, tiny_dataset, example):
         enc = DualFormerEncoder(tiny_dataset.network.n_segments, d_h=16, seed=0)
-        fused = enc(
-            example.point_features,
-            example.point_segments,
-            example.route,
-            example.route_attributes,
+        ((rows, fused),) = enc(
+            [example.point_features],
+            [example.point_segments],
+            [example.route],
+            [example.route_attributes],
         )
-        assert fused.shape == (len(example.route), 16)
+        assert list(rows) == [0]
+        assert fused.shape == (1, len(example.route), 16)
 
     def test_fusion_ablation_returns_route_encoding(self, tiny_dataset, example):
         enc = DualFormerEncoder(
             tiny_dataset.network.n_segments, d_h=16, use_fusion=False, seed=0
         )
-        fused = enc(
-            example.point_features, example.point_segments, example.route
+        ((_, fused),) = enc(
+            [example.point_features], [example.point_segments], [example.route]
         )
         route_only = enc.encode_route(example.route)
-        np.testing.assert_allclose(fused.data, route_only.data)
+        np.testing.assert_allclose(fused.data[0], route_only.data)
 
     def test_encoder_backprop(self, tiny_dataset, example):
         enc = DualFormerEncoder(tiny_dataset.network.n_segments, d_h=16, seed=0)
-        out = enc(
-            example.point_features, example.point_segments, example.route
+        ((_, out),) = enc(
+            [example.point_features], [example.point_segments], [example.route]
         )
         (out * out).mean().backward()
         assert enc.segment_embedding.weight.grad is not None
@@ -77,30 +78,34 @@ class TestEncoder:
 class TestDecoder:
     def test_step_shapes(self):
         dec = RecoveryDecoder(d_h=16, seed=0)
-        fused = Tensor(np.random.default_rng(0).normal(size=(7, 16)))
+        fused = Tensor(np.random.default_rng(0).normal(size=(2, 7, 16)))
         hidden = dec.initial_state(fused)
-        scores, ratio = dec.step(hidden, fused, np.zeros((7, 3)), 0.5)
-        assert scores.shape == (7,)
-        assert ratio.shape == (1,)
+        assert hidden.shape == (2, 1, 16)
+        scores, ratio = dec.step(
+            hidden, fused, np.zeros((2, 7, 3)), np.array([0.5, 0.5])
+        )
+        assert scores.shape == (2, 7)
+        assert ratio.shape == (2,)
 
     def test_advance_changes_state(self):
         dec = RecoveryDecoder(d_h=16, seed=0)
-        fused = Tensor(np.random.default_rng(0).normal(size=(5, 16)))
+        fused = Tensor(np.random.default_rng(0).normal(size=(1, 5, 16)))
         h0 = dec.initial_state(fused)
-        h1 = dec.advance(h0, fused, 2, 0.4, 0.1)
+        h1 = dec.advance(h0, fused[:, 2:3], np.array([0.4]), np.array([0.1]))
         assert not np.allclose(h0.data, h1.data)
 
     def test_residual_ratio_stays_near_prior(self):
         dec = RecoveryDecoder(d_h=16, seed=0)
-        fused = Tensor(np.random.default_rng(0).normal(size=(5, 16)))
+        fused = Tensor(np.random.default_rng(0).normal(size=(1, 5, 16)))
         hidden = dec.initial_state(fused)
-        scores = dec.scores(hidden, fused, np.zeros((5, 3)))
-        ratio = dec.ratio(hidden, fused, scores, prior_ratio=0.6).data[0]
+        scores = dec.scores(hidden, fused, np.zeros((1, 5, 3)))
+        readout = dec.readout(fused, scores)
+        ratio = dec.ratio(hidden, readout, prior_ratio=np.array([0.6])).data[0]
         assert abs(ratio - 0.6) <= dec.MAX_RATIO_CORRECTION + 1e-9
 
     def test_faithful_variant_uses_sigmoid(self):
         dec = RecoveryDecoder(d_h=16, use_prior=False, seed=0)
-        fused = Tensor(np.random.default_rng(0).normal(size=(5, 16)))
+        fused = Tensor(np.random.default_rng(0).normal(size=(1, 5, 16)))
         hidden = dec.initial_state(fused)
         scores, ratio = dec.step(hidden, fused)
         assert 0.0 < ratio.data[0] < 1.0
@@ -159,11 +164,11 @@ class TestModelTraining:
             tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
         )
         s = tiny_dataset.test[0]
-        out = model.decode(
+        (out,) = model.decode(
             tiny_dataset.network,
-            s.sparse,
-            s.gt_point_matches,
-            s.route,
+            [s.sparse],
+            [s.gt_point_matches],
+            [s.route],
             tiny_dataset.epsilon,
         )
         assert len(out) == len(s.dense)
