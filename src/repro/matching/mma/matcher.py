@@ -152,13 +152,15 @@ class MMAMatcher(MapMatcher):
         Telemetry: per-epoch loss and samples/sec land under
         ``train.MMA.*`` when enabled.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         with timed_epoch(self.name, len(dataset.train)) as epoch:
             epoch.loss = self._fit_epoch(dataset, batch_size)
         return epoch.loss
 
     def _fit_epoch(self, dataset, batch_size: int) -> float:
         self.model.train()
-        if batch_size <= 1:
+        if batch_size == 1:
             total, count = 0.0, 0
             for sample in dataset.train:
                 encoded = self.encoder.encode(sample.sparse)

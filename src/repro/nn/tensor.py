@@ -89,7 +89,10 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._backward: Callable[[], None] = lambda: None
+        # Backward closures receive their output tensor as an argument: one
+        # that captured it would make every graph a reference cycle, freed
+        # only by a full cyclic-GC pass instead of when the loss is dropped.
+        self._backward: Callable[["Tensor"], None] = lambda out: None
         self._prev = _prev
         self.op = op
 
@@ -149,7 +152,7 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=np.float64).reshape(self.shape))
         for node in reversed(topo):
-            node._backward()
+            node._backward(node)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -173,7 +176,7 @@ class Tensor:
             "add",
         )
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(out.grad, self.shape))
             if other.requires_grad:
@@ -192,7 +195,7 @@ class Tensor:
             "mul",
         )
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
             if other.requires_grad:
@@ -225,7 +228,7 @@ class Tensor:
             self.data**exponent, self.requires_grad, (self,), "pow"
         )
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
@@ -246,7 +249,7 @@ class Tensor:
             "matmul",
         )
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             a, b, g = self.data, other.data, out.grad
             if self.requires_grad:
                 grad_a = g @ np.swapaxes(b, -1, -2)
@@ -266,7 +269,7 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = self._make(np.exp(self.data), self.requires_grad, (self,), "exp")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data)
 
@@ -277,7 +280,7 @@ class Tensor:
     def log(self) -> "Tensor":
         out = self._make(np.log(self.data), self.requires_grad, (self,), "log")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad / self.data)
 
@@ -288,7 +291,7 @@ class Tensor:
     def tanh(self) -> "Tensor":
         out = self._make(np.tanh(self.data), self.requires_grad, (self,), "tanh")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (1.0 - out.data**2))
 
@@ -300,7 +303,7 @@ class Tensor:
         value = 1.0 / (1.0 + np.exp(-self.data))
         out = self._make(value, self.requires_grad, (self,), "sigmoid")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data * (1.0 - out.data))
 
@@ -311,7 +314,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = self._make(np.maximum(self.data, 0.0), self.requires_grad, (self,), "relu")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (self.data > 0.0))
 
@@ -322,7 +325,7 @@ class Tensor:
     def abs(self) -> "Tensor":
         out = self._make(np.abs(self.data), self.requires_grad, (self,), "abs")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * np.sign(self.data))
 
@@ -343,7 +346,7 @@ class Tensor:
             "sum",
         )
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if not self.requires_grad:
                 return
             grad = out.grad
@@ -368,7 +371,7 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         out = self._make(self.data.reshape(shape), self.requires_grad, (self,), "reshape")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.shape))
 
@@ -379,7 +382,7 @@ class Tensor:
     def swapaxes(self, a: int, b: int) -> "Tensor":
         out = self._make(np.swapaxes(self.data, a, b), self.requires_grad, (self,), "swap")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 self._accumulate(np.swapaxes(out.grad, a, b))
 
@@ -394,7 +397,7 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         out = self._make(self.data[key], self.requires_grad, (self,), "slice")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
                 np.add.at(grad, key, out.grad)
@@ -409,7 +412,7 @@ class Tensor:
         indices = np.asarray(indices, dtype=np.int64)
         out = self._make(self.data[indices], self.requires_grad, (self,), "take")
 
-        def _backward() -> None:
+        def _backward(out: "Tensor") -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
                 np.add.at(grad, indices, out.grad)
@@ -444,7 +447,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0, *sizes])
 
-    def _backward() -> None:
+    def _backward(out: "Tensor") -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 index = [slice(None)] * data.ndim
@@ -462,7 +465,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     requires = any(t.requires_grad for t in tensors)
     out = Tensor._make(data, requires, tuple(tensors), "stack")
 
-    def _backward() -> None:
+    def _backward(out: "Tensor") -> None:
         grads = np.moveaxis(out.grad, axis, 0)
         for t, g in zip(tensors, grads):
             if t.requires_grad:

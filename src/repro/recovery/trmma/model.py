@@ -25,7 +25,7 @@ import numpy as np
 
 from ...data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
 from ...network.road_network import RoadNetwork
-from ...nn import Module, Tensor, bce_with_logits
+from ...nn import Module, Tensor, bce_with_logits, concat
 from ...utils.rng import SeedLike, make_rng
 from ..base import missing_point_counts
 from ..route_utils import route_cumulative_lengths, route_index_of_segments
@@ -178,50 +178,57 @@ class TRMMAModel(Module):
     # ---------------------------------------------------------------- training
 
     def training_loss(self, example: RecoveryExample) -> Tensor:
-        """Teacher-forced loss ``L_seg + λ L_r`` for one trajectory (Eq. 21),
-        run through the stacked decoder as a batch of one."""
+        """Teacher-forced loss ``L_seg + λ L_r`` for one trajectory (Eq. 21).
+
+        Two phases.  The GRU sweeps the ground-truth points as (1, 1, d_h)
+        rows, recording the hidden state just before each missing point and
+        stopping after the last one (later anchors feed no loss).  The ``m``
+        recorded states are then stacked into one (m, 1, d_h) call of the
+        decoder heads against ``H`` broadcast to (m, l_R, d_h): one BCE over
+        the (m, l_R) scores — every row has ``l_R`` entries, so its mean is
+        the mean of the per-point BCEs — plus ``λ/m`` times the summed ratio
+        errors.  This equals the point-by-point loss up to floating-point
+        summation order, not bit-for-bit.
+        """
+        missing = np.flatnonzero(~example.dense_observed[1:]) + 1
+        if not len(missing):
+            return Tensor(np.zeros(()))
         ((_, fused),) = self.encoder(
             [example.point_features],
             [example.point_segments],
             [example.route],
             [example.route_attributes],
         )
+        indices, ratios = example.dense_route_indices, example.dense_ratios
+
+        # Phase 1: teacher-forced GRU sweep with the ground-truth points.
         hidden = self.decoder.initial_state(fused)
-        l_route = len(example.route)
-
-        seg_losses: List[Tensor] = []
-        ratio_losses: List[Tensor] = []
-        for j in range(len(example.dense_route_indices)):
-            idx = int(example.dense_route_indices[j])
-            ratio = float(example.dense_ratios[j])
-            t_norm = float(example.dense_times_norm[j])
-            if j > 0 and not example.dense_observed[j]:
-                expected = example.dense_expected_offsets[j : j + 1]
-                priors = self._segment_priors(example.route_cum, expected)
-                prior_ratio = _ratio_within(example.route_cum, idx, expected)
-                scores, predicted_ratio = self.decoder.step(
-                    hidden, fused, priors, prior_ratio
-                )
-                labels = np.zeros(l_route)
-                labels[idx] = 1.0
-                seg_losses.append(bce_with_logits(scores.reshape(l_route), labels))
-                ratio_losses.append((predicted_ratio - ratio).abs().reshape(1).sum())
-            # Teacher forcing: advance with the ground-truth point.
+        states: List[Tensor] = []
+        for j in range(int(missing[-1])):
+            idx = int(indices[j])
             hidden = self.decoder.advance(
-                hidden, fused[:, idx : idx + 1], np.array([ratio]), np.array([t_norm])
+                hidden,
+                fused[:, idx : idx + 1],
+                ratios[j : j + 1],
+                example.dense_times_norm[j : j + 1],
             )
+            if not example.dense_observed[j + 1]:
+                states.append(hidden)
 
-        loss = Tensor(np.zeros(()))
-        if seg_losses:
-            total_seg = seg_losses[0]
-            for extra in seg_losses[1:]:
-                total_seg = total_seg + extra
-            total_ratio = ratio_losses[0]
-            for extra in ratio_losses[1:]:
-                total_ratio = total_ratio + extra
-            n = float(len(seg_losses))
-            loss = total_seg * (1.0 / n) + total_ratio * (self.ratio_weight / n)
-        return loss
+        # Phase 2: both heads for every missing point in one stacked call.
+        m, l_route = len(missing), len(example.route)
+        targets = indices[missing]
+        expected = example.dense_expected_offsets[missing]
+        scores, predicted_ratio = self.decoder.step(
+            concat(states, axis=0),
+            fused * Tensor(np.ones((m, 1, 1))),
+            self._segment_priors(example.route_cum, expected),
+            _ratio_within(example.route_cum, targets, expected),
+        )
+        labels = np.zeros((m, l_route))
+        labels[np.arange(m), targets] = 1.0
+        ratio_error = (predicted_ratio - ratios[missing]).abs().sum()
+        return bce_with_logits(scores, labels) + ratio_error * (self.ratio_weight / m)
 
     # --------------------------------------------------------------- inference
 

@@ -104,49 +104,40 @@ class TRMMARecoverer(TrajectoryRecoverer):
     def fit_epoch(self, dataset, batch_size: int = 1) -> float:
         """One teacher-forced epoch of Eq. 21 over the training split.
 
-        With ``batch_size=1`` (default) each sample takes its own Adam step.
-        With ``batch_size>1`` losses are scaled by ``1/len(chunk)`` and
-        gradients *accumulated* across the chunk before a single step —
-        mini-batch SGD without batching the (autoregressive) decoder itself.
+        Samples are taken in chunks of ``batch_size`` (default 1): each
+        loss is scaled by ``1/len(chunk)`` and the gradients accumulate over
+        the chunk before a single Adam step, so ``batch_size=1`` is one step
+        per sample.  Within a sample the loss is already batched: every
+        missing point's heads run in one stacked decoder call
+        (:meth:`TRMMAModel.training_loss`).  Samples without missing points
+        contribute a zero loss and no gradient.
 
         Telemetry: per-epoch loss and samples/sec land under
         ``train.<name>.*`` when enabled.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         with timed_epoch(self.name, len(dataset.train)) as epoch:
             epoch.loss = self._fit_epoch(dataset, batch_size)
         return epoch.loss
 
     def _fit_epoch(self, dataset, batch_size: int) -> float:
         self.model.train()
-        total, count = 0.0, 0
-        if batch_size <= 1:
-            for sample in dataset.train:
-                example = build_example(self.network, sample)
-                loss = self.model.training_loss(example)
-                if loss.size and float(loss.data) > 0.0:
-                    self.optimizer.zero_grad()
-                    loss.backward()
-                    self.optimizer.step()
-                total += float(loss.data)
-                count += 1
-            return total / max(count, 1)
-
         samples = list(dataset.train)
+        total = 0.0
         for start in range(0, len(samples), batch_size):
             chunk = samples[start : start + batch_size]
             self.optimizer.zero_grad()
             stepped = False
             for sample in chunk:
-                example = build_example(self.network, sample)
-                loss = self.model.training_loss(example)
-                if loss.size and float(loss.data) > 0.0:
+                loss = self.model.training_loss(build_example(self.network, sample))
+                if loss.item() > 0.0:
                     (loss * (1.0 / len(chunk))).backward()
                     stepped = True
-                total += float(loss.data)
-                count += 1
+                total += loss.item()
             if stepped:
                 self.optimizer.step()
-        return total / max(count, 1)
+        return total / max(len(samples), 1)
 
     def fit(
         self,

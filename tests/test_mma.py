@@ -127,6 +127,16 @@ class TestMatcher:
             last = matcher.fit_epoch(tiny_dataset)
         assert last < first
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_fit_epoch_rejects_non_positive_batch_size(
+        self, tiny_dataset, batch_size
+    ):
+        matcher = MMAMatcher(
+            tiny_dataset.network, d0=16, d2=16, use_node2vec=False, seed=0
+        )
+        with pytest.raises(ValueError, match="batch_size"):
+            matcher.fit_epoch(tiny_dataset, batch_size=batch_size)
+
     def test_accuracy_beats_nearest(self, tiny_dataset, trained):
         from repro.matching import NearestMatcher
 

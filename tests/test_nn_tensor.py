@@ -1,5 +1,7 @@
 """Autograd engine: gradients verified against finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,21 @@ class TestBasics:
         out = t * 3.0 + t * 4.0
         out.sum().backward()
         assert t.grad[0] == pytest.approx(7.0)
+
+    def test_graph_is_freed_without_cyclic_gc(self):
+        """A dropped graph is freed by reference counting: no op leaves a
+        reference cycle for the cyclic collector to find."""
+        x = Tensor(randn(4, 3), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            rows = concat([x, stack([x[0], x[1]])], axis=0)
+            loss = softmax(rows.matmul(Tensor(randn(3, 2))).tanh()).sum()
+            loss.backward()
+            del rows, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestElementwiseGradients:

@@ -1,8 +1,12 @@
 """TRMMA: DualFormer encoder, decoder, model, recoverer, ablations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.config import TRMMAConfig
+from repro.data.trajectory import MatchedTrajectory, TrajectorySample
 from repro.matching import FMMMatcher, NearestMatcher
 from repro.recovery.trmma import (
     ABLATION_VARIANTS,
@@ -20,9 +24,10 @@ from repro.recovery.trmma.model import (
     TRMMAModel,
     _local_ratio,
     _point_offsets,
+    _ratio_within,
     interpolate_expected_offsets,
 )
-from repro.nn import Tensor
+from repro.nn import Tensor, bce_with_logits
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +179,156 @@ class TestModelTraining:
         assert len(out) == len(s.dense)
         # All emitted segments must lie on the route.
         assert set(p.edge_id for p in out) <= set(s.route)
+
+
+def training_loss_per_step(model, example):
+    """Teacher-forced Eq. 21 loss, one missing point at a time: the GRU
+    advances through every point and each missing point runs its own
+    classifier, readout, ratio head, BCE and MAE.  The reference the
+    two-phase :meth:`TRMMAModel.training_loss` must reproduce up to
+    floating-point summation order."""
+    ((_, fused),) = model.encoder(
+        [example.point_features],
+        [example.point_segments],
+        [example.route],
+        [example.route_attributes],
+    )
+    hidden = model.decoder.initial_state(fused)
+    l_route = len(example.route)
+    seg_losses, ratio_losses = [], []
+    for j in range(len(example.dense_route_indices)):
+        idx = int(example.dense_route_indices[j])
+        ratio = float(example.dense_ratios[j])
+        t_norm = float(example.dense_times_norm[j])
+        if j > 0 and not example.dense_observed[j]:
+            expected = example.dense_expected_offsets[j : j + 1]
+            priors = model._segment_priors(example.route_cum, expected)
+            prior_ratio = _ratio_within(example.route_cum, idx, expected)
+            scores, predicted_ratio = model.decoder.step(
+                hidden, fused, priors, prior_ratio
+            )
+            labels = np.zeros(l_route)
+            labels[idx] = 1.0
+            seg_losses.append(bce_with_logits(scores.reshape(l_route), labels))
+            ratio_losses.append((predicted_ratio - ratio).abs().reshape(1).sum())
+        hidden = model.decoder.advance(
+            hidden, fused[:, idx : idx + 1], np.array([ratio]), np.array([t_norm])
+        )
+    if not seg_losses:
+        return Tensor(np.zeros(()))
+    total_seg, total_ratio = seg_losses[0], ratio_losses[0]
+    for seg, ratio in zip(seg_losses[1:], ratio_losses[1:]):
+        total_seg, total_ratio = total_seg + seg, total_ratio + ratio
+    n = float(len(seg_losses))
+    return total_seg * (1.0 / n) + total_ratio * (model.ratio_weight / n)
+
+
+def _thinned(sample, n_missing):
+    """``sample`` with only its first ``n_missing`` missing points left in
+    the dense ground truth (the sparse input is unchanged)."""
+    observed = set(sample.observed_indices)
+    missing = [i for i in range(len(sample.dense)) if i not in observed]
+    keep = sorted(observed | set(missing[:n_missing]))
+    return TrajectorySample(
+        sparse=sample.sparse,
+        route=sample.route,
+        dense=MatchedTrajectory([sample.dense[i] for i in keep]),
+        observed_indices=[keep.index(i) for i in sample.observed_indices],
+    )
+
+
+def _loss_and_grads(model, loss_fn, example):
+    model.zero_grad()
+    loss = loss_fn(model, example)
+    loss.backward()
+    grads = [
+        np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        for p in model.parameters()
+    ]
+    return loss.item(), grads
+
+
+class TestTrainingParity:
+    @pytest.mark.parametrize(
+        "config",
+        [TRMMAConfig(d_h=16, ffn_hidden=32), TRMMAConfig()],
+        ids=["d_h16", "defaults"],
+    )
+    def test_training_loss_matches_per_step_oracle(self, tiny_dataset, config):
+        model = TRMMAModel(
+            tiny_dataset.network.n_segments,
+            d_h=config.d_h,
+            n_layers=config.n_layers,
+            n_heads=config.n_heads,
+            ffn_hidden=config.ffn_hidden,
+            ratio_weight=config.ratio_weight,
+            seed=0,
+        )
+        first = tiny_dataset.train[0]
+        samples = tiny_dataset.train + [_thinned(first, 1), _thinned(first, 0)]
+        examples = [build_example(tiny_dataset.network, s) for s in samples]
+        assert (~examples[-2].dense_observed).sum() == 1
+        assert examples[-1].dense_observed.all()
+        for example in examples:
+            expected, oracle_grads = _loss_and_grads(
+                model, training_loss_per_step, example
+            )
+            loss, grads = _loss_and_grads(
+                model, TRMMAModel.training_loss, example
+            )
+            assert loss == pytest.approx(expected, rel=1e-12, abs=0.0)
+            for got, want in zip(grads, oracle_grads):
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+        assert loss == 0.0 and not any(g.any() for g in grads)
+
+    def test_fit_epoch_without_missing_points_takes_no_step(self, tiny_dataset):
+        rec = TRMMARecoverer(
+            tiny_dataset.network, NearestMatcher(tiny_dataset.network),
+            d_h=16, ffn_hidden=32, seed=0,
+        )
+        before = [p.data.copy() for p in rec.model.parameters()]
+        split = SimpleNamespace(train=[_thinned(tiny_dataset.train[0], 0)])
+        assert rec.fit_epoch(split) == 0.0
+        assert rec.optimizer._t == 0
+        for p, old in zip(rec.model.parameters(), before):
+            np.testing.assert_array_equal(p.data, old)
+
+    def test_training_builds_few_tensors(self, tiny_dataset, monkeypatch):
+        """Deterministic guard against the per-point heads creeping back:
+        Tensors built by loss + backward over the training split."""
+        model = TRMMAModel(
+            tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
+        )
+        examples = [
+            build_example(tiny_dataset.network, s) for s in tiny_dataset.train
+        ]
+        created = [0]
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            created[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        counts = []
+        for loss_fn in (training_loss_per_step, TRMMAModel.training_loss):
+            created[0] = 0
+            for example in examples:
+                loss_fn(model, example).backward()
+            counts.append(created[0])
+        per_step, two_phase = counts
+        assert two_phase <= 0.6 * per_step
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_fit_epoch_rejects_non_positive_batch_size(
+        self, tiny_dataset, batch_size
+    ):
+        rec = TRMMARecoverer(
+            tiny_dataset.network, NearestMatcher(tiny_dataset.network),
+            d_h=16, ffn_hidden=32, seed=0,
+        )
+        with pytest.raises(ValueError, match="batch_size"):
+            rec.fit_epoch(tiny_dataset, batch_size=batch_size)
 
 
 class TestRecoverer:
