@@ -40,7 +40,6 @@ class WorkerSpec:
     network: NetworkManifest
     mma_config: MMAConfig
     mma_weights: BundleManifest
-    planner_max_route_length: int
     planner_tau: float
     planner_cache_capacity: int
     detour_tolerance: float
@@ -103,7 +102,6 @@ def build_worker_spec(
         network=net_manifest,
         mma_config=matcher.rebuild_config(),
         mma_weights=mma_manifest,
-        planner_max_route_length=planner.max_route_length,
         planner_tau=planner.tau,
         planner_cache_capacity=planner._cache.capacity,
         detour_tolerance=matcher.detour_tolerance,
@@ -128,7 +126,6 @@ def build_worker_runtime(spec: WorkerSpec) -> WorkerRuntime:
     planner = DARoutePlanner(
         network,
         statistics=statistics,
-        max_route_length=spec.planner_max_route_length,
         tau=spec.planner_tau,
         route_cache_capacity=spec.planner_cache_capacity,
     )

@@ -125,9 +125,8 @@ def route_between_segments(
     when no connection exists within ``max_cost`` metres of intermediate
     travel.
 
-    Results are memoised in ``network.route_cache`` (LRU): route stitching
-    and planner fallbacks re-query the same OD pairs constantly, and the
-    Dijkstra behind each miss is the dominant cost of stitching.
+    Results are memoised in ``network.route_cache`` (LRU): callers that
+    stitch routes on physical length re-query the same OD pairs constantly.
     """
     if from_edge == to_edge:
         return [from_edge]

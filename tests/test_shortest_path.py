@@ -1,11 +1,14 @@
 """Shortest paths, DA route planning, and network distances."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+from repro.data.datasets import build_dataset
 from repro.network.distances import DirectedNodeDistance, NetworkDistance
+from repro.network.road_network import RoadNetwork
 from repro.network.routing import DARoutePlanner, TransitionStatistics
 from repro.network.shortest_path import (
     astar,
@@ -130,6 +133,86 @@ class TestDARoutePlanner:
     def test_travel_distance_zero_for_identity(self, square_network):
         planner = DARoutePlanner(square_network)
         assert planner.travel_distance(0, 0) == 0.0
+
+    @pytest.mark.parametrize("tau", [-1.0, -30.0])
+    def test_negative_tau_is_rejected(self, square_network, tau):
+        # The A* heuristic is a lower bound on the DA cost only for tau >= 0.
+        with pytest.raises(ValueError, match="tau"):
+            DARoutePlanner(square_network, tau=tau)
+
+    def test_unconnected_pair_is_a_counted_trivial_hop(self):
+        net = RoadNetwork(
+            np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 50.0], [100.0, 50.0]]),
+            [(0, 1), (2, 3)],
+        )
+        planner = DARoutePlanner(net)
+        assert planner.plan(0, 1) == [0, 1]
+        assert planner.fallbacks == 1
+
+
+def _oracle_route(planner, from_edge, to_edge):
+    """Unbounded edge-graph Dijkstra on the planner's DA transition cost."""
+    dist = {from_edge: 0.0}
+    parent = {}
+    heap = [(0.0, from_edge)]
+    settled = set()
+    while heap:
+        d, edge = heapq.heappop(heap)
+        if edge in settled:
+            continue
+        settled.add(edge)
+        if edge == to_edge:
+            route = [to_edge]
+            while route[-1] != from_edge:
+                route.append(parent[route[-1]])
+            return route[::-1]
+        for succ in planner.network.successor_table[edge]:
+            nd = d + planner._transition_cost(edge, succ)
+            if nd < dist.get(succ, math.inf):
+                dist[succ] = nd
+                parent[succ] = edge
+                heapq.heappush(heap, (nd, succ))
+    return None
+
+
+def _da_cost(planner, route):
+    return sum(planner._transition_cost(a, b) for a, b in zip(route, route[1:]))
+
+
+def _od_pairs(dataset, n_random=200, seed=3):
+    """Seeded random OD pairs (stand-ins for mis-ranked candidates) plus the
+    consecutive ground-truth segment pairs of the test split."""
+    rng = np.random.default_rng(seed)
+    n = dataset.network.n_segments
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, n, (n_random, 2))]
+    for sample in dataset.test:
+        segments = [sample.dense.points[i].edge_id for i in sample.observed_indices]
+        pairs += [(a, b) for a, b in zip(segments, segments[1:]) if a != b]
+    return [(a, b) for a, b in pairs if a != b]
+
+
+class TestDAPlannerExactness:
+    def test_plans_are_da_optimal_on_the_largest_network(self):
+        # BJ has more segments than a bounded search of a few hundred
+        # settled segments can cover, so a bounded planner fails here.
+        dataset = build_dataset("BJ", n_trips=200, seed=11)
+        planner = DARoutePlanner(dataset.network, dataset.transition_statistics())
+        pairs = _od_pairs(dataset)
+        assert len(pairs) > 300
+        for a, b in pairs:
+            route = planner.plan(a, b)
+            assert route[0] == a and route[-1] == b
+            assert dataset.network.route_is_path(route)
+            expected = _da_cost(planner, _oracle_route(planner, a, b))
+            assert _da_cost(planner, route) == pytest.approx(expected, rel=1e-12)
+        assert planner.fallbacks == 0
+
+    def test_routes_equal_the_oracle_routes_on_pt(self):
+        dataset = build_dataset("PT", n_trips=200, seed=11)
+        planner = DARoutePlanner(dataset.network, dataset.transition_statistics())
+        for a, b in _od_pairs(dataset):
+            assert planner.plan(a, b) == _oracle_route(planner, a, b)
+        assert planner.fallbacks == 0
 
 
 class TestNetworkDistance:
