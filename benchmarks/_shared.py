@@ -3,22 +3,13 @@
 Each benchmark module regenerates one paper artefact (table or figure) at
 ``BENCH`` scale, times the regeneration with pytest-benchmark, prints the
 paper-style report through the structured logger, and writes it to
-``benchmarks/results/<id>.txt``.
-
-Wall-clock seconds per experiment accumulate into the machine-readable
-``benchmarks/results/BENCH_PR5.json`` (experiment id -> {seconds,
-batch_size, stages}) so perf regressions across PRs are diffable without
-parsing the text reports.  For the efficiency figures (Figs. 5/9) the
-``stages`` entry is the per-stage time breakdown (candidates / features /
+``benchmarks/results/<id>.txt``.  For the efficiency figures (Figs. 5/9)
+the report carries the per-stage time breakdown (candidates / features /
 model / routing / decode seconds) captured by ``repro.telemetry`` around
-the batched-inference measurement, plus the window wall clock it should sum
-to.
+the batched-inference measurement.
 
-Every write also lands a schema-versioned record in the run ledger
-(``benchmarks/results/ledger.jsonl``) via ``repro.obs`` — git SHA, env
-fingerprint, memory high-water marks and all — which is what
-``python -m repro.obs report`` / ``gate`` consume.  The per-PR JSON file
-stays as the human-diffable artefact; the ledger is the trend history.
+Same-machine, noise-aware speed measurements of the trained stack live in
+``perfbench/`` (``python3 perfbench/run.py``), not here.
 
 The heavyweight sweep experiments (Figs. 7, 8, 11 retrain per setting) run
 on a reduced dataset list to keep the suite practical; pass ``--scale`` via
@@ -27,83 +18,16 @@ on a reduced dataset list to keep the suite practical; pass ``--scale`` via
 
 from __future__ import annotations
 
-import json
 import pathlib
-import time
 from dataclasses import replace
-from typing import Dict, Optional
 
 from repro.experiments import BENCH, EXPERIMENTS, ExperimentScale
-from repro.experiments.common import BENCH_BATCH_SIZE
-from repro.obs import append_record, new_record
 from repro.utils.tables import emit_table
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-BENCH_JSON = RESULTS_DIR / "BENCH_PR5.json"
 
 #: Reduced scale for the experiments that retrain per sweep setting.
 SWEEP_SCALE = replace(BENCH, datasets=("PT",))
-
-
-def extract_stage_breakdown(results) -> Optional[Dict]:
-    """Pull per-dataset telemetry stage breakdowns out of ``run`` results.
-
-    The efficiency experiments attach ``_stages`` / ``_stage_window_seconds``
-    footnote entries per dataset; everything else returns None.
-    """
-    if not isinstance(results, dict):
-        return None
-    stages: Dict[str, Dict] = {}
-    for dataset, entries in results.items():
-        if not isinstance(entries, dict):
-            continue
-        breakdown = entries.get("_stages")
-        if not breakdown:
-            continue
-        stages[dataset] = {
-            "seconds": {k: round(v, 6) for k, v in sorted(breakdown.items())},
-            "window_seconds": round(
-                float(entries.get("_stage_window_seconds") or 0.0), 6
-            ),
-        }
-    return stages or None
-
-
-def record_benchmark(
-    experiment_id: str, seconds: float, stages: Optional[Dict] = None
-) -> None:
-    """Persist one experiment's wall clock (and stage breakdown).
-
-    Writes both artefacts: the per-PR ``BENCH_PR5.json`` merge and a
-    schema-versioned run-ledger record (``ledger.jsonl``) through the
-    ``repro.obs`` writer.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    entries = {}
-    if BENCH_JSON.exists():
-        try:
-            entries = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            entries = {}
-    entry = {
-        "seconds": round(seconds, 6),
-        "batch_size": BENCH_BATCH_SIZE,
-    }
-    if stages:
-        entry["stages"] = stages
-    entries[experiment_id] = entry
-    BENCH_JSON.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    append_record(
-        new_record(
-            experiment_id,
-            "bench",
-            seconds=seconds,
-            batch_size=BENCH_BATCH_SIZE,
-            stages=stages,
-            source=BENCH_JSON.name,
-        ),
-        path=RESULTS_DIR / "ledger.jsonl",
-    )
 
 
 def run_and_report(
@@ -111,18 +35,9 @@ def run_and_report(
 ):
     """Run one experiment under pytest-benchmark and persist its report."""
     experiment = EXPERIMENTS[experiment_id]
-
-    def timed_run():
-        start = time.perf_counter()
-        results = experiment.run(scale)
-        record_benchmark(
-            experiment_id,
-            time.perf_counter() - start,
-            stages=extract_stage_breakdown(results),
-        )
-        return results
-
-    results = benchmark.pedantic(timed_run, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        experiment.run, args=(scale,), rounds=1, iterations=1
+    )
     report = experiment.report(results)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{experiment_id}.txt").write_text(report + "\n")

@@ -1,8 +1,7 @@
 """Public facade of the reproduction: one object, one config, any engine.
 
 :class:`Pipeline` is the supported way to build and run the TRMMA/MMA
-stack; :mod:`repro.api.legacy` keeps the superseded entry points alive as
-deprecated aliases.
+stack.
 """
 
 from ..config import (

@@ -13,8 +13,9 @@ telemetry_state)`` on the shared outbox):
 * ``("ok", wid, chunk_id, result, state_or_None)`` — task finished; when
   the task asked for telemetry, ``state`` is the worker registry's
   ``export_state()`` for exactly this chunk (the registry is reset after
-  every export, so chunks never double-report).
-* ``("error", wid, chunk_id, traceback_str, None)`` — task raised.
+  every task, failed or not, so chunks never double-report).
+* ``("error", wid, chunk_id, traceback_str, None)`` — task raised; the
+  spans it recorded are dropped.
 
 Worker *crashes* (the process dying mid-task) intentionally send nothing —
 the parent detects them by liveness polling and re-dispatches the chunk.
@@ -90,15 +91,15 @@ def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> No
         if (worker_id, chunk_id) in faults:
             os._exit(FAULT_EXIT_CODE)  # simulated crash: no reply, no cleanup
         record = payload.get("telemetry", spec.telemetry_enabled)
+        registry = telemetry_state.get_registry()
         try:
             with telemetry_state.enabled_scope(record):
                 result = execute_task(runtime, kind, payload)
-            exported = None
-            if record:
-                registry = telemetry_state.get_registry()
-                exported = registry.export_state()
-                registry.reset()
+            exported = registry.export_state() if record else None
             outbox.put(("ok", worker_id, chunk_id, result, exported))
         except BaseException:
             outbox.put(("error", worker_id, chunk_id, traceback.format_exc(), None))
+        finally:
+            # A failed task's spans must not ship with the next chunk.
+            registry.reset()
     runtime.network._shared_bundle.close()

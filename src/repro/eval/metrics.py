@@ -24,7 +24,6 @@ import numpy as np
 
 from ..data.trajectory import MatchedTrajectory
 from ..network.distances import NetworkDistance
-from ..telemetry import METERS_BUCKETS, RATIO_BUCKETS, enabled, observe
 
 RECOVERY_METRICS = ("recall", "precision", "f1", "accuracy", "mae", "rmse")
 MATCHING_METRICS = ("precision", "recall", "f1", "jaccard")
@@ -67,24 +66,6 @@ def recovery_metrics(
     ]
     mae = float(np.mean(errors)) if errors else 0.0
     rmse = float(math.sqrt(np.mean(np.square(errors)))) if errors else 0.0
-    if enabled():
-        # Per-trajectory Table III quality distributions (not just means):
-        # regressions often shift the tail long before they move the mean.
-        observe(
-            "quality.recovery.segment_recall", overlap["recall"], RATIO_BUCKETS
-        )
-        observe("quality.recovery.point_mae_m", mae, METERS_BUCKETS)
-        ratio_errors = [
-            abs(p.ratio - t.ratio)
-            for p, t in zip(predicted, truth)
-            if p.edge_id == t.edge_id
-        ]
-        if ratio_errors:
-            observe(
-                "quality.recovery.ratio_mae",
-                float(np.mean(ratio_errors)),
-                RATIO_BUCKETS,
-            )
     return {
         "recall": overlap["recall"],
         "precision": overlap["precision"],
@@ -100,11 +81,6 @@ def matching_metrics(
 ) -> Dict[str, float]:
     """All four Table V metrics for one trajectory."""
     overlap = _set_overlap(set(predicted_route), set(true_route))
-    if enabled():
-        observe(
-            "quality.matching.segment_recall", overlap["recall"], RATIO_BUCKETS
-        )
-        observe("quality.matching.f1", overlap["f1"], RATIO_BUCKETS)
     return {
         "precision": overlap["precision"],
         "recall": overlap["recall"],

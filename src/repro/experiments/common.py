@@ -71,7 +71,7 @@ FULL = ExperimentScale("full", n_trips=400, epochs=12, matcher_epochs=16,
                        datasets=("PT", "XA", "BJ", "CD"))
 
 #: Mini-batch size used by the batched inference entries of the efficiency
-#: figures (Figs. 5/9) and by the benchmark suite's BENCH_PR1.json probe.
+#: figures (Figs. 5/9).
 BENCH_BATCH_SIZE = 32
 
 #: Node2Vec settings for experiment-scale MMA builds (cheap but effective).

@@ -20,10 +20,8 @@ from typing import Iterator, Set
 
 from .core import Finding, LintContext, ModuleInfo, Rule
 
-#: Modules allowed to touch the raw entropy / clock sources.  repro.obs
-#: timestamps ledger records and fingerprints the environment by design —
-#: it observes runs, it is never part of one.
-EXEMPT_MODULES = ("repro.utils.rng", "repro.telemetry", "repro.obs")
+#: Modules allowed to touch the raw entropy / clock sources.
+EXEMPT_MODULES = ("repro.utils.rng", "repro.telemetry")
 
 
 def _exempt(module: ModuleInfo) -> bool:

@@ -2,11 +2,10 @@
 
 ``print`` bypasses the structured logger (``repro.telemetry.log``) that the
 CLI's ``--quiet`` / report plumbing controls, so library code must not call
-it.  The same goes for direct ``sys.stdout.write(...)``: CLI *product*
-output flows through an explicit exporter
-(:class:`repro.obs.stdout.StdoutExporter`), so only the blessed writer
-modules in :data:`STDOUT_WRITER_MODULES` may touch the raw stream
-(``sys.stderr`` stays available everywhere for error paths).  Span names
+it.  The same goes for direct ``sys.stdout.write(...)``: CLI output flows
+through the structured logger, so only the blessed writer modules in
+:data:`STDOUT_WRITER_MODULES` may touch the raw stream (``sys.stderr``
+stays available everywhere for error paths).  Span names
 must be string literals: the span ↔ paper-stage table in
 ``docs/PAPER_MAPPING.md`` is maintained by grepping for ``span("...")``,
 and a dynamically-named span silently falls out of that audit.
@@ -20,8 +19,8 @@ from typing import Iterator
 from .core import Finding, LintContext, ModuleInfo, Rule
 
 #: The only ``repro`` modules allowed to call ``sys.stdout.write``: the
-#: structured-log handler and the obs CLI's explicit stdout exporter.
-STDOUT_WRITER_MODULES = ("repro.telemetry.log", "repro.obs.stdout")
+#: structured-log handler.
+STDOUT_WRITER_MODULES = ("repro.telemetry.log",)
 
 
 def _may_write_stdout(module: ModuleInfo) -> bool:
@@ -68,9 +67,9 @@ class HygieneRule(Rule):
                 yield self.finding(
                     module,
                     node,
-                    "direct sys.stdout.write() outside the blessed writers "
-                    "(repro.telemetry.log, repro.obs.stdout); CLI output "
-                    "goes through an explicit StdoutExporter",
+                    "direct sys.stdout.write() outside the blessed writer "
+                    "(repro.telemetry.log); CLI output goes through the "
+                    "structured logger",
                 )
                 continue
             if self._is_span_call(func) and node.args:

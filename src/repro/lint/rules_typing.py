@@ -16,7 +16,7 @@ from typing import Iterator, List
 from .core import Finding, LintContext, ModuleInfo, Rule
 
 #: Packages whose public surface must be fully annotated.
-TYPED_MODULES = ("repro.api", "repro.config", "repro.engine", "repro.obs")
+TYPED_MODULES = ("repro.api", "repro.config", "repro.engine")
 
 #: Dunders that are part of the public contract of these classes.
 _PUBLIC_DUNDERS = frozenset(

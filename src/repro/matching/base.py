@@ -18,7 +18,7 @@ from ..network.road_network import RoadNetwork
 from ..network.routing import DARoutePlanner, TransitionStatistics
 from ..network.shortest_path import concatenate_routes
 from ..nn import Module
-from ..telemetry import RATIO_BUCKETS, enabled, observe, span
+from ..telemetry import span
 
 
 class MapMatcher:
@@ -131,15 +131,7 @@ class MapMatcher:
             legs = []
             for a, b in zip(kept, kept[1:]):
                 legs.append(self.planner.plan(a, b))
-            route = concatenate_routes(legs) if legs else [kept[0]]
-            if enabled():
-                # Fraction of the matched segments the stitched route
-                # actually traverses — dips when outlier-dropping or a
-                # failed plan cut a matched segment out of the route.
-                wanted = set(segments)
-                coverage = len(wanted & set(route)) / len(wanted)
-                observe("matching.route_coverage", coverage, RATIO_BUCKETS)
-            return route
+            return concatenate_routes(legs) if legs else [kept[0]]
 
     def _drop_outliers(self, segments: List[int]) -> List[int]:
         if len(segments) < 3:

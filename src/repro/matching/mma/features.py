@@ -34,7 +34,7 @@ import numpy as np
 from ...data.trajectory import Trajectory
 from ...geometry.segments import directional_features
 from ...network.road_network import RoadNetwork
-from ...telemetry import RATIO_BUCKETS, enabled, inc, observe, span
+from ...telemetry import span
 from .candidates import DEFAULT_KC, candidate_sets, candidate_sets_batch
 
 
@@ -267,20 +267,10 @@ class MMAFeatureEncoder:
 
         At most one candidate per point is labelled 1; all zeros when the
         ground truth fell outside the candidate set (rare at k_c = 10).
-
-        Telemetry: the all-zero rows are exactly the candidate misses, so
-        this is where hit@k_c is measured (``mma.candidates.*``).
         """
         labels = np.zeros_like(encoded.candidate_ids, dtype=np.float64)
-        hits = 0
         for i, gt in enumerate(gt_segments):
             matches = np.nonzero(encoded.candidate_ids[i] == gt)[0]
             if len(matches):
                 labels[i, matches[0]] = 1.0
-                hits += 1
-        n_points = len(gt_segments)
-        if n_points and enabled():
-            inc("mma.candidates.points", float(n_points))
-            inc("mma.candidates.hits", float(hits))
-            observe("mma.candidates.hit_rate", hits / n_points, RATIO_BUCKETS)
         return labels

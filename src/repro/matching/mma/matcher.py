@@ -18,7 +18,6 @@ from ...network.node2vec import Node2VecConfig, train_node2vec
 from ...network.road_network import RoadNetwork
 from ...network.routing import DARoutePlanner
 from ...nn import Adam, bce_with_logits
-from ...telemetry import timed_epoch
 from ...utils.rng import SeedLike, make_rng
 from ..base import MapMatcher
 from ...nn.tensor import no_grad
@@ -148,17 +147,9 @@ class MMAMatcher(MapMatcher):
         are stacked and each chunk takes a single Adam step over the batched
         forward pass (mini-batch SGD): fewer, larger steps whose per-chunk
         loss is the mean over the chunk's samples.
-
-        Telemetry: per-epoch loss and samples/sec land under
-        ``train.MMA.*`` when enabled.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        with timed_epoch(self.name, len(dataset.train)) as epoch:
-            epoch.loss = self._fit_epoch(dataset, batch_size)
-        return epoch.loss
-
-    def _fit_epoch(self, dataset, batch_size: int) -> float:
         self.model.train()
         if batch_size == 1:
             total, count = 0.0, 0

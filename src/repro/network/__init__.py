@@ -6,19 +6,11 @@ from .io import load_network, read_edge_list, save_network, write_edge_list
 from .node2vec import Node2VecConfig, generate_walks, train_node2vec
 from .road_network import RoadNetwork, Segment
 from .routing import DARoutePlanner, TransitionStatistics
-from .shortest_path import (
-    astar,
-    concatenate_routes,
-    dijkstra,
-    node_shortest_path,
-    route_between_segments,
-    route_gap_distance,
-)
+from .shortest_path import concatenate_routes, dijkstra
 
 __all__ = [
     "RoadNetwork", "Segment", "CityConfig", "generate_city",
-    "dijkstra", "astar", "node_shortest_path", "route_between_segments",
-    "route_gap_distance", "concatenate_routes",
+    "dijkstra", "concatenate_routes",
     "DARoutePlanner", "TransitionStatistics", "NetworkDistance",
     "DirectedNodeDistance",
     "Node2VecConfig", "train_node2vec", "generate_walks",

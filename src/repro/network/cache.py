@@ -4,8 +4,8 @@ Route stitching (Algorithm 1, lines 10-13) re-plans the same segment pairs
 over and over: consecutive trajectories share popular OD pairs, and the
 outlier-dropping pass of :meth:`MapMatcher.stitch` probes each pair up to
 three times.  An unbounded dict would grow with the square of the segment
-count on large networks, so the planner and the shortest-path layer memoise
-through this fixed-capacity LRU instead.
+count on large networks, so the planner memoises through this
+fixed-capacity LRU instead.
 """
 
 from __future__ import annotations
@@ -82,19 +82,3 @@ class LRUCache:
             size=len(self._store),
             capacity=self.capacity,
         )
-
-    def nbytes(self) -> int:
-        """Shallow byte estimate of the cached entries (O(entries)).
-
-        Routes are lists of ints, costs are floats — one level of
-        ``getsizeof`` plus list elements captures nearly all of it.  Used
-        by deep memory samples, not on any hot path.
-        """
-        import sys
-
-        total = 0
-        for key, value in self._store.items():
-            total += sys.getsizeof(key) + sys.getsizeof(value)
-            if isinstance(value, (list, tuple)):
-                total += sum(sys.getsizeof(item) for item in value)
-        return total

@@ -31,7 +31,6 @@ from ..geometry.segments import (
 )
 from ..spatial.rtree import STRtree
 from ..telemetry import register_cache, size_probe, span
-from .cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,6 @@ class RoadNetwork:
         self.successor_table: List[List[int]] = [
             self.out_edges[s.v] for s in self.segments
         ]
-        #: LRU memo for :func:`repro.network.shortest_path.
-        #: route_between_segments` — stitching R across consecutive matched
-        #: segments repeats the same OD pairs constantly (Algorithm 1).
-        self.route_cache = LRUCache(capacity=100_000)
-        register_cache("network.route_cache", self.route_cache)
         register_cache(
             "network.successor_table", self, size_probe("successor_table")
         )

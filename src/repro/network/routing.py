@@ -16,7 +16,7 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..telemetry import inc, register_cache, size_probe, span
+from ..telemetry import register_cache, size_probe, span
 from .cache import CacheInfo, LRUCache
 from .road_network import RoadNetwork
 
@@ -173,7 +173,6 @@ class DARoutePlanner:
             return route
         # No road connects the pair: return the trivial hop.
         self.fallbacks += 1
-        inc("planner.fallbacks")
         return [from_edge, to_edge]
 
     # ------------------------------------------------------------------ impl

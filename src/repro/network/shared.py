@@ -35,8 +35,6 @@ from ..geometry.points import LocalProjection
 from ..geometry.segments import SegmentGeometry
 from ..spatial.rtree import STRtree
 from ..telemetry import register_cache, size_probe
-from ..telemetry.memory import track_shm
-from .cache import LRUCache
 from .road_network import RoadNetwork, Segment
 
 #: Per-array alignment inside the block (cache-line sized).
@@ -89,9 +87,6 @@ class SharedArrayBundle:
             if not owner:
                 view.flags.writeable = False
             self._views[name] = view
-        # Feed the shm.bytes_mapped gauge; close() reverses exactly once.
-        self._tracked_bytes = shm.size
-        track_shm(self._tracked_bytes)
 
     @classmethod
     def create(cls, arrays: Dict[str, np.ndarray]) -> "SharedArrayBundle":
@@ -147,9 +142,6 @@ class SharedArrayBundle:
     def close(self) -> None:
         """Release this process's mapping (views become invalid)."""
         self._views.clear()
-        if self._tracked_bytes:
-            track_shm(-self._tracked_bytes)
-            self._tracked_bytes = 0
         try:
             self._shm.close()
         except OSError:
@@ -173,7 +165,6 @@ class NetworkManifest:
     bundle: BundleManifest
     origin_lat: float
     origin_lng: float
-    route_cache_capacity: int = 100_000
     optional: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -229,7 +220,6 @@ def share_network(network: RoadNetwork) -> Tuple["SharedArrayBundle", NetworkMan
         bundle=bundle.manifest,
         origin_lat=network.projection.origin_lat,
         origin_lng=network.projection.origin_lng,
-        route_cache_capacity=network.route_cache.capacity,
         optional=tuple(optional),
     )
     return bundle, manifest
@@ -267,8 +257,6 @@ def attach_network(manifest: NetworkManifest) -> RoadNetwork:
     network.in_edges = _csr_unpack(bundle["in_offsets"], bundle["in_values"])
     network._edge_index = {(s.u, s.v): s.edge_id for s in segments}
     network.successor_table = [network.out_edges[s.v] for s in segments]
-    network.route_cache = LRUCache(capacity=manifest.route_cache_capacity)
-    register_cache("network.route_cache", network.route_cache)
     register_cache(
         "network.successor_table", network, size_probe("successor_table")
     )

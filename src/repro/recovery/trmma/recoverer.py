@@ -19,7 +19,7 @@ from ...data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
 from ...matching.base import MapMatcher
 from ...network.road_network import RoadNetwork
 from ...nn import Adam
-from ...telemetry import span, timed_epoch
+from ...telemetry import span
 from ...utils.rng import SeedLike, make_rng
 from ..base import TrajectoryRecoverer
 from ...nn.tensor import no_grad
@@ -111,17 +111,9 @@ class TRMMARecoverer(TrajectoryRecoverer):
         missing point's heads run in one stacked decoder call
         (:meth:`TRMMAModel.training_loss`).  Samples without missing points
         contribute a zero loss and no gradient.
-
-        Telemetry: per-epoch loss and samples/sec land under
-        ``train.<name>.*`` when enabled.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        with timed_epoch(self.name, len(dataset.train)) as epoch:
-            epoch.loss = self._fit_epoch(dataset, batch_size)
-        return epoch.loss
-
-    def _fit_epoch(self, dataset, batch_size: int) -> float:
         self.model.train()
         samples = list(dataset.train)
         total = 0.0

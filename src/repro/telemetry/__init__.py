@@ -1,14 +1,14 @@
-"""``repro.telemetry`` — dependency-free metrics, tracing and profiling.
+"""``repro.telemetry`` — dependency-free tracing and profiling.
 
 The paper's headline claim is efficiency, so the repo needs to know *where*
 time goes, not just how long an experiment took.  This package provides:
 
-* a process-global :class:`~repro.telemetry.metrics.MetricsRegistry` of
-  counters, gauges and fixed-bucket histograms,
 * span-based tracing (:func:`span` / :func:`traced`) whose nested spans
-  form a tree via :mod:`contextvars`,
+  form a tree via :mod:`contextvars`, held in a process-global
+  :class:`~repro.telemetry.metrics.MetricsRegistry`,
 * a central cache registry reporting every LRU/memo hit rate at once,
-* exporters: JSON snapshot, Prometheus-style text, stage-breakdown tables.
+* reports: the span tree and the per-stage breakdown tables of
+  Figs. 5/9 (:func:`capture_stages`).
 
 Disabled by default — every call site pays only a flag check.  Enable with
 ``REPRO_TELEMETRY=1`` or :func:`enable`.  See ``docs/OBSERVABILITY.md``.
@@ -16,9 +16,7 @@ Disabled by default — every call site pays only a flag check.  Enable with
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
-
-from . import log, memory
+from . import log
 from .caches import (
     CacheProbe,
     all_cache_info,
@@ -32,23 +30,10 @@ from .exporters import (
     PIPELINE_STAGES,
     StageCapture,
     capture_stages,
-    json_snapshot,
-    parse_prometheus_text,
-    prometheus_text,
     render_span_tree,
     render_stage_table,
 )
-from .memory import sample_memory_gauges
-from .metrics import (
-    DEFAULT_BUCKETS,
-    METERS_BUCKETS,
-    RATIO_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SpanStats,
-)
+from .metrics import MetricsRegistry, SpanStats
 from .spans import current_path, span, traced
 from .state import (
     disable,
@@ -60,87 +45,10 @@ from .state import (
 )
 
 __all__ = [
-    "CacheProbe", "Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
-    "METERS_BUCKETS", "MetricsRegistry", "PIPELINE_STAGES", "RATIO_BUCKETS",
-    "SpanStats", "StageCapture", "all_cache_info", "cache_report",
-    "capture_stages", "clear_cache_registry", "current_path", "disable",
-    "enable", "enabled", "enabled_scope", "get_registry", "inc",
-    "json_snapshot", "log", "memory", "observe", "parse_prometheus_text",
-    "prometheus_text", "record_training_epoch", "register_cache",
-    "render_span_tree", "render_stage_table", "reset",
-    "sample_memory_gauges", "set_gauge", "set_gauge_max", "size_probe",
-    "span", "timed_epoch", "traced", "unregister_cache",
+    "CacheProbe", "MetricsRegistry", "PIPELINE_STAGES", "SpanStats",
+    "StageCapture", "all_cache_info", "cache_report", "capture_stages",
+    "clear_cache_registry", "current_path", "disable", "enable", "enabled",
+    "enabled_scope", "get_registry", "log", "register_cache",
+    "render_span_tree", "render_stage_table", "reset", "size_probe", "span",
+    "traced", "unregister_cache",
 ]
-
-
-# ------------------------------------------------- convenience fast paths
-
-
-def inc(name: str, amount: float = 1.0) -> None:
-    """Increment a counter (no-op when telemetry is disabled)."""
-    if enabled():
-        get_registry().inc(name, amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge (no-op when telemetry is disabled)."""
-    if enabled():
-        get_registry().set_gauge(name, value)
-
-
-def set_gauge_max(name: str, value: float) -> None:
-    """Raise a max-merged gauge (no-op when telemetry is disabled)."""
-    if enabled():
-        get_registry().set_gauge_max(name, value)
-
-
-def observe(name: str, value: float, buckets=None) -> None:
-    """Record a histogram observation (no-op when telemetry is disabled)."""
-    if enabled():
-        get_registry().observe(name, value, buckets)
-
-
-def record_training_epoch(
-    method: str, n_samples: int, seconds: float, loss: float
-) -> None:
-    """Standard per-epoch training metrics: loss gauge, samples/sec, totals.
-
-    Called at the end of every instrumented ``fit_epoch``; a no-op when
-    telemetry is disabled.
-    """
-    if not enabled():
-        return
-    registry = get_registry()
-    registry.inc(f"train.{method}.epochs")
-    registry.inc(f"train.{method}.samples", float(n_samples))
-    registry.set_gauge(f"train.{method}.loss", loss)
-    if seconds > 0:
-        registry.set_gauge(f"train.{method}.samples_per_s", n_samples / seconds)
-    registry.observe(f"train.{method}.epoch_seconds", seconds)
-
-
-class timed_epoch:
-    """Context manager pairing a wall-clock with :func:`record_training_epoch`.
-
-    >>> from repro import telemetry
-    >>> with telemetry.timed_epoch("MMA", n_samples=10) as epoch:
-    ...     epoch.loss = 0.5
-    """
-
-    def __init__(self, method: str, n_samples: int) -> None:
-        self.method = method
-        self.n_samples = n_samples
-        self.loss = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "timed_epoch":
-        self._start = _perf_counter()
-        return self
-
-    def __exit__(self, exc_type, *exc_info: object) -> bool:
-        if exc_type is None:
-            record_training_epoch(
-                self.method, self.n_samples,
-                _perf_counter() - self._start, self.loss,
-            )
-        return False

@@ -1,12 +1,11 @@
 """Central registry of every cache in the process.
 
-PR 1 scattered caches across layers — the shortest-path memo on each
-:class:`~repro.network.road_network.RoadNetwork`, the plan memo and cost
-memo inside each :class:`~repro.network.routing.DARoutePlanner`, plus the
-precomputed successor/fan-out tables.  Previously only the planner exposed
-``cache_info()``; this registry lets one call report the hit rates of all
-of them (``all_cache_info`` / ``cache_report``), and the exporters fold the
-rates into gauges.
+Caches live in several layers — the plan memo and cost memo inside each
+:class:`~repro.network.routing.DARoutePlanner`, plus the precomputed
+successor/fan-out table of each
+:class:`~repro.network.road_network.RoadNetwork`.  This registry lets one
+call report the sizes and hit rates of all of them (``all_cache_info`` /
+``cache_report``).
 
 Owners are held by weak reference so registration never extends the life
 of a network or planner; dead entries are dropped on the next read.
@@ -30,18 +29,13 @@ class CacheProbe:
     """Uniform snapshot of one cache: size plus optional hit/miss counters.
 
     Size-only entries (plain dict memos, precomputed lookup tables) leave
-    ``hits``/``misses`` as ``None`` and report no hit rate.  ``nbytes`` is
-    an optional byte footprint for owners that track it cheaply;
-    ``estimate_nbytes`` is a deferred O(entries) estimator that deep memory
-    samples (:func:`repro.telemetry.memory.sample_memory_gauges`) may call.
+    ``hits``/``misses`` as ``None`` and report no hit rate.
     """
 
     size: int
     capacity: Optional[int] = None
     hits: Optional[int] = None
     misses: Optional[int] = None
-    nbytes: Optional[int] = None
-    estimate_nbytes: Optional[Callable[[], int]] = None
 
     @property
     def hit_rate(self) -> Optional[float]:
@@ -57,7 +51,6 @@ def _default_probe(owner) -> CacheProbe:
     return CacheProbe(
         size=info.size, capacity=info.capacity,
         hits=info.hits, misses=info.misses,
-        estimate_nbytes=getattr(owner, "nbytes", None),
     )
 
 

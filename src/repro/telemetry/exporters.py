@@ -1,13 +1,8 @@
-"""Exporters: JSON snapshot, Prometheus text exposition, stage tables.
+"""Span reports: span tree, stage tables and the stage-capture hook.
 
-Three views over the same :class:`~repro.telemetry.metrics.MetricsRegistry`:
-
-* :func:`json_snapshot` — structured dict (machine-diffable, feeds
-  ``benchmarks/results/BENCH_PR2.json``),
-* :func:`prometheus_text` — ``# TYPE``-annotated text exposition for
-  scrape-style collection,
-* :func:`render_span_tree` / :func:`render_stage_table` — human-readable
-  profiles with p50/p95/max per stage.
+:func:`render_span_tree` and :func:`render_stage_table` are human-readable
+profiles (count, total, self time, p50/p95/max) over the global
+:class:`~repro.telemetry.metrics.MetricsRegistry`.
 
 :func:`capture_stages` is the harness hook: it force-enables telemetry for
 a ``with`` block and yields the per-stage self-time breakdown of exactly
@@ -17,161 +12,17 @@ attach to their results.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, Optional, Tuple
 
 from . import state
-from .caches import all_cache_info
 from .metrics import MetricsRegistry, SpanStats
 
 #: Canonical pipeline stages in paper order (Figs. 5/9 terminology); see
 #: docs/OBSERVABILITY.md for the span-to-paper mapping.
 PIPELINE_STAGES = ("candidates", "features", "model", "routing", "decode")
-
-
-# ------------------------------------------------------------------ snapshots
-
-
-def json_snapshot(registry: Optional[MetricsRegistry] = None) -> Dict:
-    """JSON-serialisable snapshot of all metrics, spans and cache probes."""
-    registry = registry or state.get_registry()
-    spans = {}
-    for path in sorted(registry.spans):
-        stats = registry.spans[path]
-        spans[".".join(path)] = {
-            "count": stats.count,
-            "total_s": round(stats.total, 6),
-            "self_s": round(registry.self_seconds(path), 6),
-            "p50_s": round(stats.p50(), 6),
-            "p95_s": round(stats.p95(), 6),
-            "max_s": round(stats.max, 6),
-        }
-    caches = {}
-    for name, probe in sorted(all_cache_info().items()):
-        caches[name] = {
-            "size": probe.size,
-            "capacity": probe.capacity,
-            "hits": probe.hits,
-            "misses": probe.misses,
-            "hit_rate": probe.hit_rate,
-        }
-        if probe.nbytes is not None:
-            caches[name]["nbytes"] = probe.nbytes
-    return {
-        "enabled": state.enabled(),
-        "counters": {
-            n: c.value for n, c in sorted(registry.counters.items())
-        },
-        "gauges": {n: g.value for n, g in sorted(registry.gauges.items())},
-        "histograms": {
-            n: {
-                "sum": round(h.sum, 6),
-                "count": h.count,
-                "buckets": [
-                    [b, c] for b, c in zip(h.buckets, h.counts)
-                ] + [["+inf", h.counts[-1]]],
-            }
-            for n, h in sorted(registry.histograms.items())
-        },
-        "spans": spans,
-        "stages": {
-            n: round(s, 6) for n, s in sorted(registry.stage_totals().items())
-        },
-        "caches": caches,
-    }
-
-
-def _metric_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_").replace(" ", "_")
-
-
-def _fmt(value: float) -> str:
-    """Lossless float formatting for the text exposition.
-
-    ``%g`` truncates to 6 significant digits, which shifts a custom bucket
-    bound's printed ``le`` label off the real edge — a value observed
-    exactly on the boundary then appears to land in the wrong bucket to
-    any consumer parsing the output.  Python's ``repr`` is the shortest
-    string that round-trips exactly, so bounds, sums and gauge values all
-    parse back to the stored float.
-    """
-    return repr(float(value))
-
-
-def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
-    """Prometheus-style text exposition of the registry."""
-    registry = registry or state.get_registry()
-    lines = []
-    for name in sorted(registry.counters):
-        metric = f"repro_{_metric_name(name)}_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(registry.counters[name].value)}")
-    for name in sorted(registry.gauges):
-        metric = f"repro_{_metric_name(name)}"
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(registry.gauges[name].value)}")
-    for name in sorted(registry.histograms):
-        hist = registry.histograms[name]
-        metric = f"repro_{_metric_name(name)}"
-        lines.append(f"# TYPE {metric} histogram")
-        for bound, cumulative in hist.cumulative():
-            le = "+Inf" if bound == float("inf") else _fmt(bound)
-            lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
-        lines.append(f"{metric}_sum {_fmt(hist.sum)}")
-        lines.append(f"{metric}_count {hist.count}")
-    if registry.spans:
-        lines.append("# TYPE repro_span_seconds summary")
-        for path in sorted(registry.spans):
-            stats = registry.spans[path]
-            label = ".".join(path)
-            lines.append(
-                f'repro_span_seconds_total{{path="{label}"}} '
-                f"{_fmt(stats.total)}"
-            )
-            lines.append(
-                f'repro_span_seconds_count{{path="{label}"}} {stats.count}'
-            )
-    for name, probe in sorted(all_cache_info().items()):
-        rate = probe.hit_rate
-        if rate is not None:
-            metric = f"repro_cache_hit_rate{{cache=\"{name}\"}}"
-            lines.append(metric + f" {_fmt(rate)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus_text(text: str) -> Dict[str, Dict]:
-    """Parse :func:`prometheus_text` output back into metric dicts.
-
-    Returns ``{metric_name: {"type": ..., "samples": {label_or_"": value}}}``
-    — the round-trip half of the exporter, used by the obs round-trip tests
-    and by external scrape tooling checks.
-    """
-    metrics: Dict[str, Dict] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split()
-            metrics[name] = {"type": kind, "samples": {}}
-            continue
-        name_and_labels, value = line.rsplit(" ", 1)
-        if "{" in name_and_labels:
-            name, _, labels = name_and_labels.partition("{")
-            labels = labels.rstrip("}")
-        else:
-            name, labels = name_and_labels, ""
-        base = name
-        for suffix in ("_bucket", "_sum", "_count", "_total"):
-            if name.endswith(suffix) and name[: -len(suffix)] in metrics:
-                base = name[: -len(suffix)]
-                break
-        entry = metrics.setdefault(base, {"type": "untyped", "samples": {}})
-        key = name[len(base):] + ("{" + labels + "}" if labels else "")
-        entry["samples"][key] = float(value)
-    return metrics
 
 
 # -------------------------------------------------------------- span reports

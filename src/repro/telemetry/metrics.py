@@ -1,24 +1,22 @@
-"""Metric primitives: counters, gauges, fixed-bucket histograms, span stats.
+"""Span statistics and the registry that holds them.
 
 Everything here is plain-Python and dependency-free.  A
-:class:`MetricsRegistry` is a passive container — the hot-path guards live
-in :mod:`repro.telemetry.state` / :mod:`repro.telemetry.spans`, which only
-touch a registry when telemetry is enabled.
+:class:`MetricsRegistry` is a passive container of span timings — the
+hot-path guards live in :mod:`repro.telemetry.state` /
+:mod:`repro.telemetry.spans`, which only touch a registry when telemetry is
+enabled.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0-100) with linear interpolation.
 
     Returns 0.0 for an empty sequence, so timing reports degrade gracefully
-    when a stage never ran.  (Lives here rather than ``repro.utils`` so the
-    telemetry core stays import-cycle-free; ``repro.utils.timing``
-    re-exports it.)
+    when a stage never ran.
     """
     if not values:
         return 0.0
@@ -35,138 +33,26 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[lower] * (1.0 - frac) + ordered[lower + 1] * frac)
 
 
-#: Default histogram bucket upper bounds (seconds): spans from microseconds
-#: of cached route plans up to multi-second training epochs.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0
-)
-
-#: Buckets for ratio-valued quality metrics (hit rates, recall, coverage —
-#: all in [0, 1]).  The top edges are dense because the interesting quality
-#: movements happen between "good" and "nearly perfect".
-RATIO_BUCKETS: Tuple[float, ...] = (
-    0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0
-)
-
-#: Buckets for metre-valued error metrics (point MAE, network distances).
-METERS_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0
-)
-
 #: Per-span-path cap on retained duration samples (percentile estimation
 #: stays O(1) memory on paths hit millions of times, e.g. route planning).
 MAX_SPAN_SAMPLES = 4096
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase; use a gauge")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down (cache hit rates, last epoch loss).
-
-    ``mode`` controls how the gauge folds across worker snapshots in
-    :meth:`MetricsRegistry.merge_state`: ``"last"`` (default) is
-    last-write-wins, ``"max"`` keeps the largest value seen — the right
-    semantics for high-water marks like ``mem.peak_rss_bytes``, where the
-    peak of the run is the max over every process's peak.
-    """
-
-    __slots__ = ("name", "value", "mode")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.mode = "last"
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def set_max(self, value: float) -> None:
-        """Raise the gauge to ``value`` if larger; marks it max-merged."""
-        self.mode = "max"
-        if value > self.value:
-            self.value = float(value)
-
-
-class Histogram:
-    """Fixed-bucket histogram with Prometheus ``le`` (<=) edge semantics.
-
-    ``buckets`` are strictly increasing upper bounds; an implicit +inf
-    bucket catches the overflow.  A value exactly on an edge counts toward
-    that edge's bucket.
-    """
-
-    __slots__ = ("name", "buckets", "counts", "sum", "count")
-
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("buckets must be strictly increasing and non-empty")
-        self.name = name
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1 for the +inf overflow
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        # bisect_left gives the first bound >= value, so a value exactly on
-        # a bound lands in that bound's bucket (Prometheus le-semantics);
-        # bisect_right would push boundary values one bucket too high.
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` rows, ending with +inf."""
-        rows: List[Tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
-            rows.append((bound, running))
-        rows.append((float("inf"), running + self.counts[-1]))
-        return rows
-
-
 class SpanStats:
     """Accumulated durations of one span path in the trace tree."""
 
-    __slots__ = ("path", "count", "total", "min", "max", "samples")
+    __slots__ = ("path", "count", "total", "max", "samples")
 
     def __init__(self, path: Tuple[str, ...]) -> None:
         self.path = path
         self.count = 0
         self.total = 0.0
-        self.min = float("inf")
         self.max = 0.0
         self.samples: List[float] = []
-
-    @property
-    def name(self) -> str:
-        return self.path[-1] if self.path else ""
-
-    @property
-    def depth(self) -> int:
-        return len(self.path) - 1
 
     def record(self, seconds: float) -> None:
         self.count += 1
         self.total += seconds
-        if seconds < self.min:
-            self.min = seconds
         if seconds > self.max:
             self.max = seconds
         if len(self.samples) < MAX_SPAN_SAMPLES:
@@ -180,57 +66,10 @@ class SpanStats:
 
 
 class MetricsRegistry:
-    """Process-wide container for counters, gauges, histograms and spans."""
+    """Process-wide container of span timings, keyed by span path."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.spans: Dict[Tuple[str, ...], SpanStats] = {}
-
-    # ------------------------------------------------------------- counters
-
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).inc(amount)
-
-    # --------------------------------------------------------------- gauges
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
-    def set_gauge_max(self, name: str, value: float) -> None:
-        self.gauge(name).set_max(value)
-
-    # ----------------------------------------------------------- histograms
-
-    def histogram(
-        self, name: str, buckets: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(
-                name, buckets or DEFAULT_BUCKETS
-            )
-        return histogram
-
-    def observe(
-        self, name: str, value: float, buckets: Optional[Sequence[float]] = None
-    ) -> None:
-        self.histogram(name, buckets).observe(value)
-
-    # ---------------------------------------------------------------- spans
 
     def record_span(self, path: Tuple[str, ...], seconds: float) -> None:
         stats = self.spans.get(path)
@@ -272,34 +111,17 @@ class MetricsRegistry:
     # ----------------------------------------------------- state (de)merging
 
     def export_state(self) -> Dict:
-        """Snapshot this registry as a plain picklable dict.
+        """Snapshot the span stats as a plain picklable dict.
 
         The parallel engine's workers export their registry after every
         chunk and ship the state back over the result queue; the parent
         folds it in with :meth:`merge_state`.
         """
         return {
-            "counters": {n: c.value for n, c in self.counters.items()},
-            "gauges": {n: g.value for n, g in self.gauges.items()},
-            # Non-default merge modes travel separately so snapshots from
-            # older writers (no key) still merge with last-write semantics.
-            "gauge_modes": {
-                n: g.mode for n, g in self.gauges.items() if g.mode != "last"
-            },
-            "histograms": {
-                n: {
-                    "buckets": h.buckets,
-                    "counts": list(h.counts),
-                    "sum": h.sum,
-                    "count": h.count,
-                }
-                for n, h in self.histograms.items()
-            },
             "spans": {
                 s.path: {
                     "count": s.count,
                     "total": s.total,
-                    "min": s.min,
                     "max": s.max,
                     "samples": list(s.samples),
                 }
@@ -316,26 +138,8 @@ class MetricsRegistry:
         ``("worker:3",)``) so per-worker trees stay distinguishable in the
         merged render while ``stage_totals`` — which aggregates by leaf
         name — still folds worker stage time into the parent's breakdown.
-        Counters, histograms and span stats add; gauges are last-write-wins.
+        Span counts and totals add.
         """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).inc(value)
-        modes = state.get("gauge_modes", {})
-        for name, value in state.get("gauges", {}).items():
-            if modes.get(name) == "max":
-                self.gauge(name).set_max(value)
-            else:
-                self.gauge(name).set(value)
-        for name, data in state.get("histograms", {}).items():
-            histogram = self.histogram(name, data["buckets"])
-            if histogram.buckets != tuple(data["buckets"]):
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch during merge"
-                )
-            for i, n in enumerate(data["counts"]):
-                histogram.counts[i] += n
-            histogram.sum += data["sum"]
-            histogram.count += data["count"]
         for path, data in state.get("spans", {}).items():
             full = span_prefix + tuple(path)
             stats = self.spans.get(full)
@@ -343,16 +147,10 @@ class MetricsRegistry:
                 stats = self.spans[full] = SpanStats(full)
             stats.count += data["count"]
             stats.total += data["total"]
-            stats.min = min(stats.min, data["min"])
             stats.max = max(stats.max, data["max"])
             room = MAX_SPAN_SAMPLES - len(stats.samples)
             if room > 0:
                 stats.samples.extend(data["samples"][:room])
 
-    # ------------------------------------------------------------- lifecycle
-
     def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
         self.spans.clear()

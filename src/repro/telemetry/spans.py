@@ -18,7 +18,7 @@ from contextvars import ContextVar
 from time import perf_counter
 from typing import Callable, Optional, Tuple, TypeVar
 
-from . import memory, state
+from . import state
 
 _PATH: ContextVar[Tuple[str, ...]] = ContextVar("repro_span_path", default=())
 
@@ -66,12 +66,7 @@ class _Span:
         elapsed = perf_counter() - self._start
         path = _PATH.get()
         _PATH.reset(self._token)
-        registry = state.get_registry()
-        registry.record_span(path, elapsed)
-        if len(path) == 1:
-            # Root-span boundary: refresh the memory gauges (throttled, so
-            # per-trajectory root spans don't turn into a getrusage storm).
-            memory.maybe_sample(registry)
+        state.get_registry().record_span(path, elapsed)
         return False
 
 

@@ -63,7 +63,7 @@ def get_registry() -> MetricsRegistry:
 
 
 def reset() -> None:
-    """Clear all recorded metrics and spans (test isolation)."""
+    """Clear all recorded spans (test isolation)."""
     _registry.reset()
 
 

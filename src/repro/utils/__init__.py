@@ -9,12 +9,12 @@ from .tables import (
     render_series,
     render_table,
 )
-from .timing import Timer, TimingLog, percentile, time_call, time_per_thousand
+from .timing import Timer, time_call
 
 __all__ = [
     "DEFAULT_SEED", "make_rng", "spawn_rng", "sample_without_replacement",
     "render_table", "render_metric_table", "render_series", "best_in_column",
     "emit_table",
-    "Timer", "TimingLog", "percentile", "time_call", "time_per_thousand",
+    "Timer", "time_call",
     "AsciiCanvas", "render_network",
 ]

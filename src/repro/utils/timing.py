@@ -2,15 +2,14 @@
 
 The paper reports inference time per 1000 trajectories (Figs. 5 and 9) and
 training time per epoch (Figs. 6 and 10).  :class:`Timer` and
-:func:`time_per_thousand` provide the measurement primitives used by
+:func:`time_call` provide the measurement primitives used by
 ``repro.eval.efficiency``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 
 class Timer:
@@ -55,58 +54,9 @@ class Timer:
         self.laps.append(self.elapsed)
 
 
-# Canonical implementation lives in the (import-cycle-free) telemetry core;
-# re-exported here because timing percentiles belong to this module's API.
-from ..telemetry.metrics import percentile  # noqa: E402  (re-export)
-
-
-@dataclass
-class TimingLog:
-    """Accumulates named timing samples (seconds) across repeated runs."""
-
-    samples: Dict[str, List[float]] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        self.samples.setdefault(name, []).append(seconds)
-
-    def total(self, name: str) -> float:
-        return sum(self.samples.get(name, []))
-
-    def mean(self, name: str) -> float:
-        values = self.samples.get(name, [])
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def percentile(self, name: str, q: float) -> float:
-        """The ``q``-th percentile of the named samples (0.0 when absent)."""
-        return percentile(self.samples.get(name, []), q)
-
-    def p50(self, name: str) -> float:
-        return self.percentile(name, 50.0)
-
-    def p95(self, name: str) -> float:
-        return self.percentile(name, 95.0)
-
-    def max(self, name: str) -> float:
-        values = self.samples.get(name, [])
-        return max(values) if values else 0.0
-
-
 def time_call(fn: Callable[[], object]) -> float:
     """Run ``fn`` once and return its wall-clock duration in seconds."""
     with Timer() as timer:
         fn()
     return timer.elapsed
 
-
-def time_per_thousand(fn: Callable[[], object], n_items: int) -> float:
-    """Time ``fn`` (which processes ``n_items`` items) and normalise.
-
-    Returns seconds per 1000 items, matching the unit of the paper's
-    inference-time figures.
-    """
-    if n_items <= 0:
-        raise ValueError("n_items must be positive")
-    elapsed = time_call(fn)
-    return elapsed * 1000.0 / n_items

@@ -1,8 +1,8 @@
-# reprolint: module=repro.obs.stdout
-"""RL004 fixture: the blessed exporter module may write to stdout."""
+# reprolint: module=repro.telemetry.log
+"""RL004 fixture: the blessed writer module may write to stdout."""
 
 import sys
 
 
 def write(text: str) -> None:
-    sys.stdout.write(text)  # clean: repro.obs.stdout is a blessed writer
+    sys.stdout.write(text)  # clean: repro.telemetry.log is the blessed writer

@@ -2,8 +2,7 @@
 
 The facade must be a pure re-packaging: a Pipeline built from a config is
 bit-identical to the hand-assembled stack with the same hyperparameters and
-seed, and the deprecated aliases keep returning exactly what the old call
-shapes returned.
+seed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import Pipeline, legacy
+from repro.api import Pipeline
 from repro.config import (
     EngineConfig,
     MMAConfig,
@@ -158,45 +157,3 @@ def test_from_components_rejects_foreign_matcher(dataset, fitted_pipeline):
 
 def test_pipeline_workers_property(fitted_pipeline):
     assert fitted_pipeline.workers == 0  # serial engine config
-
-
-# -------------------------------------------------------- deprecated aliases
-
-
-def test_legacy_match_is_identical(dataset, fitted_pipeline):
-    trajectories = [s.sparse for s in dataset.test]
-    expected = fitted_pipeline.match(trajectories)
-    with pytest.warns(DeprecationWarning, match="match_trajectories"):
-        assert legacy.match_trajectories(
-            fitted_pipeline.matcher, trajectories, batch_size=8
-        ) == expected
-
-
-def test_legacy_match_points_is_identical(dataset, fitted_pipeline):
-    trajectories = [s.sparse for s in dataset.test]
-    expected = fitted_pipeline.match_points(trajectories)
-    with pytest.warns(DeprecationWarning, match="match_trajectory_points"):
-        assert legacy.match_trajectory_points(
-            fitted_pipeline.matcher, trajectories, batch_size=8
-        ) == expected
-
-
-def test_legacy_recover_is_identical(dataset, fitted_pipeline):
-    trajectories = [s.sparse for s in dataset.test]
-    expected = fitted_pipeline.recover(trajectories, dataset.epsilon)
-    with pytest.warns(DeprecationWarning, match="recover_trajectories"):
-        got = legacy.recover_trajectories(
-            fitted_pipeline.recoverer, trajectories, dataset.epsilon,
-            batch_size=8,
-        )
-    for a, b in zip(got, expected):
-        for pa, pb in zip(a.points, b.points):
-            assert (pa.edge_id, pa.ratio, pa.t) == (pb.edge_id, pb.ratio, pb.t)
-
-
-def test_legacy_make_trmma_warns(dataset):
-    with pytest.warns(DeprecationWarning, match="make_trmma"):
-        recoverer = legacy.make_trmma(
-            dataset.network, dataset.transition_statistics(), d_h=16,
-        )
-    assert recoverer.name == "TRMMA"

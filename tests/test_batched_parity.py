@@ -26,7 +26,6 @@ from repro.matching.mma.matcher import MMAMatcher, _length_buckets
 from repro.network.cache import LRUCache
 from repro.network.node2vec import Node2VecConfig
 from repro.network.routing import DARoutePlanner
-from repro.network.shortest_path import route_between_segments
 from repro.nn.tensor import Tensor, concat, no_grad, softmax
 from repro.recovery.base import missing_point_counts
 from repro.recovery.route_utils import (
@@ -503,14 +502,3 @@ def test_planner_route_cache(square_network):
     # cached copies must be independent
     second.append(99)
     assert planner.plan(0, 7) == first
-
-
-def test_route_between_segments_memoised(square_network):
-    route = route_between_segments(square_network, 0, 6)
-    baseline = square_network.route_cache.info().hits
-    again = route_between_segments(square_network, 0, 6)
-    assert again == route
-    assert square_network.route_cache.info().hits == baseline + 1
-    # mutating the returned list must not poison the memo
-    again.append(99)
-    assert route_between_segments(square_network, 0, 6) == route

@@ -9,11 +9,7 @@ from repro.matching.fmm import UBODT
 from repro.network.distances import NetworkDistance
 from repro.network.generators import CityConfig, generate_city
 from repro.network.routing import DARoutePlanner, TransitionStatistics
-from repro.network.shortest_path import (
-    concatenate_routes,
-    dijkstra,
-    node_shortest_path,
-)
+from repro.network.shortest_path import concatenate_routes, dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +22,6 @@ def net():
 
 
 class TestDijkstraProperties:
-    @given(seed=st.integers(0, 100))
-    @settings(max_examples=20, deadline=None)
-    def test_path_length_equals_distance(self, net, seed):
-        rng = np.random.default_rng(seed)
-        a, b = rng.integers(0, net.n_nodes, 2)
-        dist, _ = dijkstra(net, int(a))
-        path = node_shortest_path(net, int(a), int(b))
-        assert path is not None
-        assert net.route_length(path) == pytest.approx(dist[int(b)])
-
     @given(seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_triangle_inequality_over_nodes(self, net, seed):

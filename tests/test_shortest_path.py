@@ -10,14 +10,7 @@ from repro.data.datasets import build_dataset
 from repro.network.distances import DirectedNodeDistance, NetworkDistance
 from repro.network.road_network import RoadNetwork
 from repro.network.routing import DARoutePlanner, TransitionStatistics
-from repro.network.shortest_path import (
-    astar,
-    concatenate_routes,
-    dijkstra,
-    node_shortest_path,
-    route_between_segments,
-    route_gap_distance,
-)
+from repro.network.shortest_path import concatenate_routes, dijkstra
 
 
 class TestDijkstra:
@@ -35,47 +28,8 @@ class TestDijkstra:
         dist, _ = dijkstra(square_network, 0, max_cost=150.0)
         assert 3 not in dist
 
-    def test_path_reconstruction(self, square_network):
-        path = node_shortest_path(square_network, 0, 3)
-        assert path is not None
-        assert len(path) == 2
-        assert square_network.segments[path[0]].u == 0
-        assert square_network.segments[path[-1]].v == 3
-
-    def test_astar_agrees_with_dijkstra(self, small_network):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a, b = rng.integers(0, small_network.n_nodes, 2)
-            p1 = node_shortest_path(small_network, int(a), int(b))
-            p2 = astar(small_network, int(a), int(b))
-            l1 = small_network.route_length(p1 or [])
-            l2 = small_network.route_length(p2 or [])
-            assert l1 == pytest.approx(l2)
-
 
 class TestRoutesBetweenSegments:
-    def test_same_segment(self, square_network):
-        assert route_between_segments(square_network, 0, 0) == [0]
-
-    def test_adjacent_segments(self, square_network):
-        e01 = square_network.edge_between(0, 1)
-        e13 = square_network.edge_between(1, 3)
-        assert route_between_segments(square_network, e01, e13) == [e01, e13]
-
-    def test_route_is_connected(self, small_network):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a, b = rng.integers(0, small_network.n_segments, 2)
-            route = route_between_segments(small_network, int(a), int(b))
-            assert route is not None
-            assert small_network.route_is_path(route)
-            assert route[0] == a and route[-1] == b
-
-    def test_gap_distance_adjacent_is_zero(self, square_network):
-        e01 = square_network.edge_between(0, 1)
-        e13 = square_network.edge_between(1, 3)
-        assert route_gap_distance(square_network, e01, e13) == 0.0
-
     def test_concatenate_dedupes_endpoints(self):
         assert concatenate_routes([[1, 2, 3], [3, 4], [4, 5]]) == [1, 2, 3, 4, 5]
 

@@ -1,27 +1,26 @@
-"""The telemetry subsystem: spans, metrics, caches, exporters, overhead.
+"""The telemetry subsystem: spans, caches, stage reports, overhead.
 
-Covers the ISSUE 2 acceptance surface: span nesting/attribution
-correctness, histogram bucket edges, enable/disable toggling, exporter
-golden files, the central cache registry, and a ``perf_smoke``-marked
-bound on disabled-mode overhead against the fig9 micro-benchmark.
+Covers span nesting/attribution correctness, enable/disable toggling, the
+span-tree and stage-table reports, the central cache registry, span
+merging across parallel-engine workers, and a ``perf_smoke``-marked bound
+on disabled-mode overhead against the fig9 micro-benchmark.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
+import queue
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
-from repro.telemetry import caches as telemetry_caches
-from repro.telemetry.metrics import Histogram, MetricsRegistry, percentile
+from repro.engine import worker as engine_worker
+from repro.telemetry import state as telemetry_state
+from repro.telemetry.metrics import MetricsRegistry, percentile
 from repro.telemetry.state import _env_enabled
 from repro.network.cache import LRUCache
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
 
 @pytest.fixture()
@@ -64,14 +63,7 @@ class TestToggle:
     def test_disabled_spans_record_nothing(self, clean_telemetry):
         with telemetry.span("ghost"):
             pass
-        telemetry.inc("ghost_counter")
-        telemetry.set_gauge("ghost_gauge", 1.0)
-        telemetry.observe("ghost_hist", 1.0)
-        registry = telemetry.get_registry()
-        assert not registry.spans
-        assert not registry.counters
-        assert not registry.gauges
-        assert not registry.histograms
+        assert not telemetry.get_registry().spans
 
 
 class TestSpans:
@@ -134,43 +126,7 @@ class TestSpans:
         spans = telemetry.get_registry().spans
         assert ("alpha",) in spans and ("custom",) in spans
 
-    def test_timed_epoch_records_training_metrics(self, clean_telemetry):
-        telemetry.enable()
-        with telemetry.timed_epoch("MMA", n_samples=10) as epoch:
-            epoch.loss = 0.5
-        registry = telemetry.get_registry()
-        assert registry.counters["train.MMA.epochs"].value == 1
-        assert registry.counters["train.MMA.samples"].value == 10
-        assert registry.gauges["train.MMA.loss"].value == 0.5
-        assert registry.gauges["train.MMA.samples_per_s"].value > 0
-
-
 class TestMetrics:
-    def test_counter_monotonic(self, clean_telemetry):
-        registry = telemetry.get_registry()
-        registry.inc("n", 2)
-        registry.inc("n")
-        assert registry.counters["n"].value == 3
-        with pytest.raises(ValueError):
-            registry.inc("n", -1)
-
-    def test_histogram_bucket_edges(self):
-        hist = Histogram("h", buckets=(1.0, 2.0, 5.0))
-        for value in (0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 5.1):
-            hist.observe(value)
-        # le-semantics: a value exactly on an edge lands in that bucket.
-        assert hist.counts == [2, 2, 2, 1]
-        assert hist.count == 7
-        assert hist.cumulative() == [
-            (1.0, 2), (2.0, 4), (5.0, 6), (float("inf"), 7)
-        ]
-
-    def test_histogram_rejects_bad_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=())
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(2.0, 1.0))
-
     def test_percentile(self):
         assert percentile([], 50) == 0.0
         assert percentile([3.0], 95) == 3.0
@@ -190,33 +146,13 @@ class TestMetrics:
         assert len(stats.samples) == MAX_SPAN_SAMPLES
 
 
-def _golden_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.inc("decoded_points", 7)
-    registry.set_gauge("cache_hit_ratio", 0.75)
-    for value in (0.01, 0.05, 0.06, 2.5):
-        registry.observe("plan_seconds", value, buckets=(0.01, 0.1, 1.0))
-    registry.record_span(("inference",), 1.0)
-    registry.record_span(("inference", "model"), 0.125)
-    registry.record_span(("inference", "model"), 0.125)
-    return registry
-
-
 class TestExporters:
-    def test_prometheus_golden(self, clean_telemetry, monkeypatch):
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        golden = (GOLDEN_DIR / "telemetry_prometheus.txt").read_text()
-        assert telemetry.prometheus_text(_golden_registry()) == golden
-
-    def test_json_snapshot_golden(self, clean_telemetry, monkeypatch):
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        golden = json.loads(
-            (GOLDEN_DIR / "telemetry_snapshot.json").read_text()
-        )
-        assert telemetry.json_snapshot(_golden_registry()) == golden
-
     def test_span_tree_render(self, clean_telemetry):
-        out = telemetry.render_span_tree(_golden_registry())
+        registry = MetricsRegistry()
+        registry.record_span(("inference",), 1.0)
+        registry.record_span(("inference", "model"), 0.125)
+        registry.record_span(("inference", "model"), 0.125)
+        out = telemetry.render_span_tree(registry)
         lines = out.splitlines()
         assert "inference" in lines[2]
         assert lines[3].startswith("  model")  # child indented under parent
@@ -314,7 +250,6 @@ class TestCacheRegistry:
 
         planner = DARoutePlanner(tiny_dataset.network)
         info = telemetry.all_cache_info()
-        assert any(n.startswith("network.route_cache") for n in info)
         assert any(n.startswith("network.successor_table") for n in info)
         assert any(n.startswith("planner.route_cache") for n in info)
         assert any(n.startswith("planner.cost_cache") for n in info)
@@ -423,126 +358,82 @@ def test_disabled_overhead_negligible(telemetry_matcher, clean_telemetry):
         )
 
 
-class TestMemoryObservability:
-    """ISSUE 5: memory gauges, max-merge semantics, lossless exposition."""
+# ------------------------------------------------------ parallel engine spans
 
-    def test_gauge_set_max_and_mode(self, clean_telemetry):
-        registry = MetricsRegistry()
-        registry.set_gauge_max("mem.peak_rss_bytes", 100.0)
-        registry.set_gauge_max("mem.peak_rss_bytes", 50.0)  # cannot lower
-        assert registry.gauges["mem.peak_rss_bytes"].value == 100.0
-        assert registry.gauges["mem.peak_rss_bytes"].mode == "max"
 
-    def test_max_gauges_max_merge_across_workers(self, clean_telemetry):
-        # The parent registry keeps the *largest* peak of any process, while
-        # plain gauges stay last-write-wins.
-        worker = MetricsRegistry()
-        worker.set_gauge_max("mem.peak_rss_bytes", 200.0)
-        worker.set_gauge("train.loss", 0.5)
-        state = worker.export_state()
-        assert state["gauge_modes"] == {"mem.peak_rss_bytes": "max"}
+class TestWorkerSpans:
+    def test_failed_task_spans_do_not_leak_into_next_export(
+        self, clean_telemetry, monkeypatch
+    ):
+        """A task that raises must not ship its spans with the next chunk."""
 
-        parent = MetricsRegistry()
-        parent.set_gauge_max("mem.peak_rss_bytes", 300.0)
-        parent.set_gauge("train.loss", 0.9)
-        parent.merge_state(state)
-        assert parent.gauges["mem.peak_rss_bytes"].value == 300.0
-        assert parent.gauges["train.loss"].value == 0.5
+        def execute_task(runtime, kind, payload):
+            if kind == "boom":
+                with telemetry.span("boom"):
+                    raise RuntimeError("task failed")
+            with telemetry.span("fine"):
+                return kind
 
-        low_peak = MetricsRegistry()
-        low_peak.merge_state(state)
-        assert low_peak.gauges["mem.peak_rss_bytes"].value == 200.0
-
-    def test_sample_memory_gauges(self, clean_telemetry, monkeypatch):
-        from repro.telemetry import memory as telemetry_memory
-
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        registry = MetricsRegistry()
-        telemetry_memory.sample_memory_gauges(registry)
-        assert registry.gauges["mem.peak_rss_bytes"].value > 0
-        assert registry.gauges["mem.peak_rss_bytes"].mode == "max"
-        assert "shm.bytes_mapped" in registry.gauges
-
-    def test_maybe_sample_throttles(self, clean_telemetry, monkeypatch):
-        from repro.telemetry import memory as telemetry_memory
-
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        monkeypatch.setattr(telemetry_memory, "_last_sample", 0.0)
-        registry = MetricsRegistry()
-        telemetry_memory.maybe_sample(registry)
-        first = registry.gauges["mem.peak_rss_bytes"].value
-        assert first > 0
-        registry.gauges["mem.peak_rss_bytes"].value = 0.0
-        telemetry_memory.maybe_sample(registry)  # within the interval
-        assert registry.gauges["mem.peak_rss_bytes"].value == 0.0
-
-    def test_shared_bundle_tracks_shm_bytes(self, clean_telemetry):
-        np = pytest.importorskip("numpy")
-        from repro.network.shared import SharedArrayBundle
-        from repro.telemetry import memory as telemetry_memory
-
-        before = telemetry_memory.shm_bytes_mapped()
-        bundle = SharedArrayBundle.create(
-            {"xy": np.arange(16, dtype=np.float64)}
+        runtime = SimpleNamespace(
+            network=SimpleNamespace(
+                _shared_bundle=SimpleNamespace(close=lambda: None)
+            )
         )
-        assert telemetry_memory.shm_bytes_mapped() > before
-        bundle.close()
-        bundle.close()  # double close must not go negative
-        assert telemetry_memory.shm_bytes_mapped() == before
-        bundle.unlink()
+        monkeypatch.setattr(
+            engine_worker, "build_worker_runtime", lambda spec: runtime
+        )
+        monkeypatch.setattr(engine_worker, "execute_task", execute_task)
+        # worker_main switches telemetry off process-wide; restore it after.
+        monkeypatch.setattr(telemetry_state, "_enabled", telemetry.enabled())
+        spec = SimpleNamespace(fault_crashes=(), telemetry_enabled=False)
+        inbox, outbox = queue.Queue(), queue.Queue()
+        inbox.put((0, "boom", {"telemetry": True}))
+        inbox.put((1, "fine", {"telemetry": True}))
+        inbox.put(None)
 
-    def test_root_span_exit_samples_memory(self, clean_telemetry, monkeypatch):
-        from repro.telemetry import memory as telemetry_memory
+        engine_worker.worker_main(0, spec, inbox, outbox)
 
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        monkeypatch.setattr(telemetry_memory, "_last_sample", 0.0)
-        telemetry.enable()
-        with telemetry.span("rootwork"):
-            pass
+        replies = [outbox.get_nowait() for _ in range(outbox.qsize())]
+        assert [r[0] for r in replies] == ["ready", "error", "ok"]
+        exported = replies[-1][4]
+        assert set(exported["spans"]) == {("fine",)}
+        assert not telemetry.get_registry().spans
+
+    def test_parallel_run_merges_worker_spans(
+        self, tiny_dataset, clean_telemetry
+    ):
+        from repro.config import EngineConfig
+        from repro.engine import ParallelEngine
+        from repro.matching.mma.matcher import MMAMatcher
+        from repro.network.node2vec import Node2VecConfig
+
+        matcher = MMAMatcher(
+            tiny_dataset.network, d0=16, d2=16, ffn_hidden=32,
+            node2vec_config=Node2VecConfig(
+                dimensions=16, walk_length=8, walks_per_node=2, window=3,
+                negatives=2, epochs=1,
+            ),
+            seed=7,
+        )
+        matcher.fit_epoch(tiny_dataset)
+        trajectories = [s.sparse for s in tiny_dataset.test]
+        config = EngineConfig(
+            engine="parallel", workers=2, chunk_size=2, batch_size=4
+        )
+        with telemetry.enabled_scope(True):
+            with ParallelEngine(matcher, config=config) as engine:
+                engine.match(trajectories)
+
         registry = telemetry.get_registry()
-        assert registry.gauges["mem.peak_rss_bytes"].value > 0
-
-
-class TestPrometheusRoundTrip:
-    """The exposition must parse back losslessly (le labels included)."""
-
-    def test_high_precision_bucket_bounds_round_trip(self, clean_telemetry):
-        # %g-style formatting truncates 0.123456789 to "0.123457", so a
-        # value observed exactly on the boundary looks mislabelled to any
-        # parser. repr-based formatting keeps the printed edge exact.
-        bounds = (0.123456789, 1.000000001)
-        registry = MetricsRegistry()
-        registry.observe("edge_seconds", 0.123456789, bounds)
-        registry.observe("edge_seconds", 0.1234567891, bounds)
-        from repro.telemetry.exporters import (
-            parse_prometheus_text,
-            prometheus_text,
+        worker_roots = {
+            path[0] for path in registry.spans if path[0].startswith("worker:")
+        }
+        assert worker_roots
+        assert worker_roots <= {"worker:0", "worker:1"}
+        worker_leaves = {
+            path[-1] for path in registry.spans if path[0] in worker_roots
+        }
+        assert {"candidates", "features", "model"} <= worker_leaves
+        assert {"candidates", "features", "model"} <= set(
+            registry.stage_totals()
         )
-
-        text = prometheus_text(registry)
-        parsed = parse_prometheus_text(text)
-        metric = parsed["repro_edge_seconds"]
-        assert metric["type"] == "histogram"
-        samples = metric["samples"]
-        # The printed le label parses back to the exact stored bound...
-        assert f'_bucket{{le="{0.123456789!r}"}}' in samples
-        # ... and the on-boundary observation is inside that bucket while
-        # the just-above observation is not.
-        assert samples[f'_bucket{{le="{0.123456789!r}"}}'] == 1
-        assert samples[f'_bucket{{le="{1.000000001!r}"}}'] == 2
-        assert samples['_bucket{le="+Inf"}'] == 2
-        assert samples["_sum"] == pytest.approx(
-            0.123456789 + 0.1234567891, abs=0.0
-        )
-        assert samples["_count"] == 2
-
-    def test_full_registry_round_trip(self, clean_telemetry, monkeypatch):
-        monkeypatch.setattr(telemetry_caches, "_caches", {})
-        registry = _golden_registry()
-        from repro.telemetry.exporters import parse_prometheus_text
-
-        parsed = parse_prometheus_text(telemetry.prometheus_text(registry))
-        assert parsed["repro_decoded_points_total"]["samples"][""] == 7.0
-        assert parsed["repro_cache_hit_ratio"]["samples"][""] == 0.75
-        spans = parsed["repro_span_seconds"]["samples"]
-        assert spans['_total{path="inference.model"}'] == 0.25

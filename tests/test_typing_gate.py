@@ -25,7 +25,6 @@ TYPED_TARGETS = (
     "src/repro/api",
     "src/repro/config.py",
     "src/repro/engine",
-    "src/repro/obs",
 )
 
 

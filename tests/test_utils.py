@@ -12,7 +12,7 @@ from repro.utils.tables import (
     render_series,
     render_table,
 )
-from repro.utils.timing import Timer, TimingLog, time_call, time_per_thousand
+from repro.utils.timing import Timer, time_call
 
 
 class TestRng:
@@ -50,22 +50,6 @@ class TestTiming:
     def test_time_call(self):
         assert time_call(lambda: None) >= 0
 
-    def test_per_thousand_scaling(self):
-        t = time_per_thousand(lambda: None, n_items=10)
-        assert t >= 0
-
-    def test_per_thousand_rejects_zero(self):
-        with pytest.raises(ValueError):
-            time_per_thousand(lambda: None, 0)
-
-    def test_timing_log(self):
-        log = TimingLog()
-        log.add("x", 1.0)
-        log.add("x", 3.0)
-        assert log.total("x") == 4.0
-        assert log.mean("x") == 2.0
-        assert log.mean("missing") == 0.0
-
     def test_timer_is_reusable(self):
         t = Timer()
         with t:
@@ -94,23 +78,6 @@ class TestTiming:
         t.reset()
         assert t.laps == []
         assert t.total == 0.0
-
-    def test_timing_log_percentiles(self):
-        log = TimingLog()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            log.add("x", v)
-        assert log.p50("x") == pytest.approx(2.5)
-        assert log.p95("x") == pytest.approx(3.85)
-        assert log.max("x") == 4.0
-        assert log.p50("missing") == 0.0
-        assert log.max("missing") == 0.0
-
-    def test_timing_log_percentile_arbitrary_q(self):
-        log = TimingLog()
-        log.add("x", 1.0)
-        log.add("x", 3.0)
-        assert log.percentile("x", 0) == 1.0
-        assert log.percentile("x", 100) == 3.0
 
 
 class TestTables:
