@@ -6,7 +6,7 @@ Before this facade existed, callers assembled the stack by hand — construct
 ``recover_many`` kwargs at every call site.  :class:`Pipeline` owns that
 wiring: hyperparameters come in as one validated
 :class:`~repro.config.PipelineConfig`, and execution (serial in-process or
-the shared-memory multi-process :class:`~repro.engine.ParallelEngine`) is
+the multi-process :class:`~repro.engine.ParallelEngine`) is
 selected by its :class:`~repro.config.EngineConfig` rather than by the call
 site.
 
@@ -170,7 +170,7 @@ class Pipeline:
             self._engine = None
 
     def close(self) -> None:
-        """Shut down the engine (terminates parallel workers, frees SHM)."""
+        """Shut down the engine (terminates parallel workers)."""
         self._reset_engine()
 
     def __enter__(self) -> "Pipeline":

@@ -131,14 +131,19 @@ class EngineConfig(_Config):
     process, ``"parallel"`` always shards across workers, and ``"auto"``
     (default) picks parallel iff ``workers > 0``.  ``workers`` defaults to
     ``$REPRO_WORKERS`` so CI can exercise the pool without code changes.
+
+    The parallel engine splits a request of ``n`` trajectories into at most
+    one contiguous share per live worker, of ``max(chunk_size, ceil(n / W))``
+    trajectories each: ``chunk_size`` is the smallest unit worth sending to
+    a worker, not a fixed share size.
     """
 
     engine: str = "auto"
     workers: int = field(default_factory=default_workers)
-    chunk_size: int = 16  # trajectories per dispatched work unit
+    chunk_size: int = 16  # smallest share of a request sent to a worker
     batch_size: int = 32  # same-length bucket chunking inside a worker
-    max_retries: int = 2  # per-chunk retries after worker crash/timeout
-    task_timeout_s: float = 300.0  # per-chunk wall-clock limit
+    max_retries: int = 2  # per-share retries after worker crash/timeout
+    task_timeout_s: float = 300.0  # per-share wall-clock limit
     start_method: Optional[str] = None  # "fork" | "spawn" | None = auto
 
     def __post_init__(self) -> None:

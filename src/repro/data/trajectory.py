@@ -90,7 +90,7 @@ class Trajectory:
         return self.duration / (len(self.points) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapMatchedPoint:
     """A point on segment ``edge_id`` at position ratio ``ratio`` (Def. 5)."""
 
@@ -106,7 +106,7 @@ class MapMatchedPoint:
         return network.point_on_segment(self.edge_id, min(self.ratio, 1.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchedTrajectory:
     """A map-matched ε-sampling trajectory (Definition 6)."""
 

@@ -1,28 +1,34 @@
-"""Multi-process execution engine with shared-memory road network.
+"""Multi-process execution engine.
 
-:class:`ParallelEngine` shards a batch of trajectories into fixed-size
-chunks and farms them out to ``W`` worker processes.  The heavy state — the
-road network's coordinate/adjacency/R-tree arrays and the trained model
-weights — lives in :mod:`multiprocessing.shared_memory`, created once by
-the parent and attached zero-copy by every worker; only configs, planner
-scalars and the per-chunk trajectory arrays cross the pickle boundary.
+:class:`ParallelEngine` splits each request into at most ``W`` contiguous
+shares, one per live worker, and farms them out to the worker processes.
+A share holds ``max(chunk_size, ceil(n / W))`` trajectories, so every
+worker decodes one large lock-step batch (as the serial engine does for the
+whole request) and ``chunk_size`` is only the smallest unit worth a
+round trip.  Workers get the road network, the transition statistics and
+the trained weights as plain objects in their :class:`WorkerSpec`: under
+``fork`` they inherit them from the parent, under ``spawn`` the spec is
+pickled once per worker.  Only the per-share trajectory arrays cross the
+pickle boundary per request.
 
-Chunk results are reassembled in submission order, and workers run the very
+Share results are reassembled in submission order, and workers run the very
 same batched inference code as :class:`~repro.engine.serial.SerialEngine`,
 so outputs are **bit-exact** with the serial path: same-length bucketing is
-per chunk, and the batching invariants (see ``tests/test_batched_parity.py``)
-guarantee per-trajectory results do not depend on chunk composition.
+per share, and the batching invariants (see ``tests/test_batched_parity.py``)
+guarantee per-trajectory results do not depend on share composition.
 
-Fault handling: a worker that crashes or exceeds the per-chunk timeout is
-removed from the pool and its in-flight chunk is re-dispatched to the
+Fault handling: a worker that crashes or exceeds the per-share timeout is
+removed from the pool and its in-flight share is re-dispatched to the
 survivors (up to ``max_retries`` times, then run inline in the parent);
-if every worker is gone, all remaining chunks fall back to the in-process
-serial engine.  Telemetry snapshots travel back with every chunk result
-and merge into the parent registry under a ``worker:<id>`` span root.
+if every worker is gone, all remaining shares fall back to the in-process
+serial engine.  The next request is split over the survivors only.
+Telemetry snapshots travel back with every share result and merge into the
+parent registry under a ``worker:<id>`` span root.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import queue as queue_module
 import time
@@ -74,7 +80,6 @@ class ParallelEngine:
         self._fault_crashes = tuple(fault_crashes)
         self._serial = SerialEngine(matcher, recoverer, self.config)
         self._workers: Dict[int, _Worker] = {}
-        self._bundles: List[Any] = []
         self._outbox: Any = None
         self._started = False
         self._closed = False
@@ -91,7 +96,7 @@ class ParallelEngine:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         ctx = mp.get_context(method)
-        spec, self._bundles = build_worker_spec(
+        spec = build_worker_spec(
             self.matcher,
             self.recoverer,
             telemetry_enabled=telemetry_state.enabled(),
@@ -147,7 +152,7 @@ class ParallelEngine:
         self.start()
 
     def close(self) -> None:
-        """Shut down workers and release/destroy the shared-memory blocks."""
+        """Shut down the worker processes."""
         if self._closed:
             return
         self._closed = True
@@ -162,10 +167,6 @@ class ParallelEngine:
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
         self._workers.clear()
-        for bundle in self._bundles:
-            bundle.close()
-            bundle.unlink()
-        self._bundles = []
 
     def __enter__(self) -> "ParallelEngine":
         return self
@@ -173,7 +174,7 @@ class ParallelEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __del__(self) -> None:  # best-effort shm cleanup
+    def __del__(self) -> None:  # best-effort worker shutdown
         try:
             self.close()
         except Exception:
@@ -228,10 +229,14 @@ class ParallelEngine:
         if not trajectories:
             return [] if concatenate else []
         self.start()
-        chunk_size = self.config.chunk_size
+        self._reap_dead_workers()
+        size = max(
+            self.config.chunk_size,
+            math.ceil(len(trajectories) / max(len(self._workers), 1)),
+        )
         chunks = [
-            trajectories[start : start + chunk_size]
-            for start in range(0, len(trajectories), chunk_size)
+            trajectories[start : start + size]
+            for start in range(0, len(trajectories), size)
         ]
         # Absolute chunk ids stay unique across the engine's lifetime, so a
         # stale message from an aborted earlier dispatch can never be
@@ -399,6 +404,16 @@ class ParallelEngine:
         if kind == "match_recover":
             return self._serial.match_and_recover(chunk, epsilon)
         raise ValueError(f"unknown task kind {kind!r}")
+
+    def _reap_dead_workers(self) -> None:
+        """Drop workers that died between requests, so shares go to the
+        survivors only."""
+        for worker_id in list(self._workers):
+            if not self._workers[worker_id].process.is_alive():
+                telemetry_log.warning(
+                    f"parallel engine: worker {worker_id} died"
+                )
+                self._discard_worker(worker_id)
 
     def _discard_worker(self, worker_id: int) -> None:
         worker = self._workers.pop(worker_id, None)

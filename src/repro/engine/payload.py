@@ -9,7 +9,7 @@ round trip is bitwise lossless.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -26,66 +26,40 @@ PackedTrajectories = Tuple[np.ndarray, np.ndarray]
 PackedMatched = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+_T = TypeVar("_T")
+
+
+def _split(items: List[_T], lengths: np.ndarray) -> List[List[_T]]:
+    """Consecutive slices of ``items`` with the given lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [items[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def pack_trajectories(trajectories: Sequence[Trajectory]) -> PackedTrajectories:
     lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
-    data = np.empty((int(lengths.sum()), 5), dtype=np.float64)
-    row = 0
-    for trajectory in trajectories:
-        for p in trajectory:
-            data[row] = (p.x, p.y, p.t, p.lat, p.lng)
-            row += 1
+    rows = [(p.x, p.y, p.t, p.lat, p.lng) for t in trajectories for p in t]
+    data = np.array(rows, dtype=np.float64).reshape(-1, 5)
     return lengths, data
 
 
 def unpack_trajectories(packed: PackedTrajectories) -> List[Trajectory]:
     lengths, data = packed
-    trajectories: List[Trajectory] = []
-    row = 0
-    for n in lengths:
-        points = [
-            GPSPoint(
-                x=float(data[i, 0]),
-                y=float(data[i, 1]),
-                t=float(data[i, 2]),
-                lat=float(data[i, 3]),
-                lng=float(data[i, 4]),
-            )
-            for i in range(row, row + int(n))
-        ]
-        trajectories.append(Trajectory(points))
-        row += int(n)
-    return trajectories
+    points = list(map(GPSPoint, *data.T.tolist()))
+    return list(map(Trajectory, _split(points, lengths)))
 
 
 def pack_matched(matched: Sequence[MatchedTrajectory]) -> PackedMatched:
     lengths = np.array([len(m) for m in matched], dtype=np.int64)
-    total = int(lengths.sum())
-    edges = np.empty(total, dtype=np.int64)
-    ratios = np.empty(total, dtype=np.float64)
-    times = np.empty(total, dtype=np.float64)
-    row = 0
-    for trajectory in matched:
-        for p in trajectory:
-            edges[row] = p.edge_id
-            ratios[row] = p.ratio
-            times[row] = p.t
-            row += 1
+    points = [p for m in matched for p in m]
+    edges = np.array([p.edge_id for p in points], dtype=np.int64)
+    ratios = np.array([p.ratio for p in points], dtype=np.float64)
+    times = np.array([p.t for p in points], dtype=np.float64)
     return lengths, edges, ratios, times
 
 
 def unpack_matched(packed: PackedMatched) -> List[MatchedTrajectory]:
     lengths, edges, ratios, times = packed
-    matched: List[MatchedTrajectory] = []
-    row = 0
-    for n in lengths:
-        points = [
-            MapMatchedPoint(
-                edge_id=int(edges[i]),
-                ratio=float(ratios[i]),
-                t=float(times[i]),
-            )
-            for i in range(row, row + int(n))
-        ]
-        matched.append(MatchedTrajectory(points))
-        row += int(n)
-    return matched
+    points = list(
+        map(MapMatchedPoint, edges.tolist(), ratios.tolist(), times.tolist())
+    )
+    return list(map(MatchedTrajectory, _split(points, lengths)))

@@ -1,9 +1,10 @@
 """Worker process entry point of the parallel engine.
 
 Each worker rebuilds the inference runtime from its :class:`WorkerSpec`
-(attaching the shared-memory road network and model weights), then serves
-``(chunk_id, kind, payload)`` tasks from its inbox queue until it receives
-the ``None`` shutdown sentinel.
+(loading the trained weights into fresh models over the spec's road
+network), then serves ``(chunk_id, kind, payload)`` tasks from its inbox
+queue until it receives the ``None`` shutdown sentinel.  A chunk is one
+contiguous share of a request (see :class:`ParallelEngine`).
 
 Message protocol (all tuples ``(type, worker_id, chunk_id, payload,
 telemetry_state)`` on the shared outbox):
@@ -102,4 +103,3 @@ def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> No
         finally:
             # A failed task's spans must not ship with the next chunk.
             registry.reset()
-    runtime.network._shared_bundle.close()

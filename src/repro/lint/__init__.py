@@ -6,7 +6,7 @@ Rules (see ``docs/STATIC_ANALYSIS.md`` for the full contract):
 * **RL002 determinism** — randomness/wall clocks only via ``utils.rng`` /
   ``telemetry``.
 * **RL003 fork-safety** — worker-imported module state registers at-fork
-  resets; ``SharedMemory(create=True)`` sites have close/unlink paths.
+  resets.
 * **RL004 hygiene** — no bare ``print``; span names are string literals.
 * **RL005 typing** — ``repro.api``/``config``/``engine`` fully annotated.
 

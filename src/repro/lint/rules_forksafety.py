@@ -1,19 +1,12 @@
-"""RL003 — fork-safety of worker-imported modules and SharedMemory lifecycles.
+"""RL003 — fork-safety of worker-imported modules.
 
-The parallel engine forks workers (Linux default start method).  Two
-hazards this rule guards:
-
-* **Module-level mutable state** in any module transitively imported by
-  :mod:`repro.engine.worker` is duplicated into every child at fork time;
-  unless the module registers an ``os.register_at_fork(after_in_child=...)``
-  reset, the child re-exports/double-counts parent state (exactly the bug
-  class PR 3 fixed in ``telemetry.state``).  ALL_CAPS names without a
-  leading underscore are treated as frozen constants and exempt.
-
-* **``SharedMemory(create=True)``** leaks a ``/dev/shm`` segment if any
-  later setup step raises before ownership is handed to something with a
-  ``close``/``unlink`` path, so creation sites must sit in a ``with`` block
-  or have a ``try``/``finally``(or ``except``) that closes/unlinks.
+The parallel engine forks workers (Linux default start method).
+**Module-level mutable state** in any module transitively imported by
+:mod:`repro.engine.worker` is duplicated into every child at fork time;
+unless the module registers an ``os.register_at_fork(after_in_child=...)``
+reset, the child re-exports/double-counts parent state (the bug class
+once seen in ``telemetry.state``).  ALL_CAPS names without a leading
+underscore are treated as frozen constants and exempt.
 """
 
 from __future__ import annotations
@@ -91,40 +84,21 @@ def _decorator_name(node: ast.AST) -> str:
     return ""
 
 
-def _closes_shared_memory(body: List[ast.stmt]) -> bool:
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("close", "unlink")
-            ):
-                return True
-    return False
-
-
 class ForkSafetyRule(Rule):
     id = "RL003"
-    title = "fork-unsafe module state / unguarded SharedMemory"
+    title = "fork-unsafe module state"
     rationale = (
         "modules imported by engine workers are duplicated at fork; "
-        "mutable module state needs a register_at_fork reset, and shm "
-        "segments need a guaranteed close/unlink path"
+        "mutable module state needs a register_at_fork reset"
     )
 
     def applies(self, module: ModuleInfo) -> bool:
         return module.in_repro
 
     def check(self, module: ModuleInfo, ctx: LintContext) -> Iterator[Finding]:
-        if module.module in ctx.worker_reachable():
-            yield from self._check_module_state(module)
-        yield from self._check_shared_memory(module)
-
-    # -------------------------------------------------- module-level state
-
-    def _check_module_state(self, module: ModuleInfo) -> Iterator[Finding]:
-        registered = _has_fork_reset(module.tree)
-        if registered:
+        if module.module not in ctx.worker_reachable():
+            return
+        if _has_fork_reset(module.tree):
             return
         for stmt in _top_level_statements(module.tree):
             targets: List[ast.expr] = []
@@ -163,86 +137,3 @@ class ForkSafetyRule(Rule):
                     "forked workers inherit the parent's copy and "
                     "double-report it",
                 )
-
-    # ----------------------------------------------------- shm lifecycles
-
-    def _check_shared_memory(self, module: ModuleInfo) -> Iterator[Finding]:
-        scopes: List[ast.AST] = [module.tree]
-        scopes.extend(
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            body = (
-                scope.body if isinstance(scope, ast.Module) else scope.body
-            )
-            creates = [
-                node
-                for node in self._own_nodes(scope)
-                if self._is_shm_create(node)
-            ]
-            if not creates:
-                continue
-            guarded = self._scope_has_guard(scope)
-            for node in creates:
-                if self._inside_with(scope, node):
-                    continue
-                if guarded:
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    "SharedMemory(create=True) with no enclosing "
-                    "try/finally (or except) calling close()/unlink() and "
-                    "no context manager; an exception here leaks the "
-                    "/dev/shm segment until reboot",
-                )
-
-    @staticmethod
-    def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk ``scope`` without descending into nested function defs."""
-        stack = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _is_shm_create(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if name != "SharedMemory":
-            return False
-        for kw in node.keywords:
-            if kw.arg == "create" and isinstance(kw.value, ast.Constant):
-                return bool(kw.value.value)
-        return False
-
-    def _scope_has_guard(self, scope: ast.AST) -> bool:
-        for node in self._own_nodes(scope):
-            if not isinstance(node, ast.Try):
-                continue
-            if _closes_shared_memory(node.finalbody):
-                return True
-            for handler in node.handlers:
-                if _closes_shared_memory(handler.body):
-                    return True
-        return False
-
-    def _inside_with(self, scope: ast.AST, call: ast.AST) -> bool:
-        for node in self._own_nodes(scope):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.context_expr is call or any(
-                        child is call
-                        for child in ast.walk(item.context_expr)
-                    ):
-                        return True
-        return False

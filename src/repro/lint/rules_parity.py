@@ -22,7 +22,6 @@ from .core import Finding, LintContext, ModuleInfo, Rule
 VECTORISED_MODULES = (
     "repro.spatial",
     "repro.engine",
-    "repro.network.shared",
     "repro.matching.mma.features",
 )
 

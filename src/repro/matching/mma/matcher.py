@@ -25,6 +25,11 @@ from .candidates import DEFAULT_KC
 from .features import MMAFeatureEncoder, stack_encoded
 from .model import MMAModel
 
+#: Most GPS points one inference forward scores.  The forward's transient
+#: arrays grow with the bucket, so a large same-length bucket is cut into
+#: calls of at most this many points.
+MAX_POINTS_PER_FORWARD = 48
+
 
 def _length_buckets(lengths: Sequence[int]) -> List[List[int]]:
     """Indices grouped by trajectory length, preserving dataset order within
@@ -207,7 +212,9 @@ class MMAMatcher(MapMatcher):
         self, trajectories: Sequence[Trajectory], batch_size: int = 32
     ) -> List[List[int]]:
         """Batched form of :meth:`match_points`: one bulk feature encoding,
-        then one model forward per same-length chunk.
+        then one model forward per same-length chunk of at most
+        ``batch_size`` trajectories and :data:`MAX_POINTS_PER_FORWARD`
+        points (a trajectory longer than that is a chunk of its own).
 
         Matches are bit-identical to per-trajectory :meth:`match_points`
         calls — batching only removes per-sample overhead (see
@@ -219,8 +226,10 @@ class MMAMatcher(MapMatcher):
         results: List[List[int]] = [[] for _ in encoded]
         with no_grad():
             for indices in _length_buckets([e.length for e in encoded]):
-                for start in range(0, len(indices), max(batch_size, 1)):
-                    chunk = indices[start : start + max(batch_size, 1)]
+                points = max(encoded[indices[0]].length, 1)
+                rows = max(min(batch_size, MAX_POINTS_PER_FORWARD // points), 1)
+                for start in range(0, len(indices), rows):
+                    chunk = indices[start : start + rows]
                     batch = stack_encoded([encoded[i] for i in chunk])
                     predictions = self.model.predict_segments_batch(batch)
                     for i, row in zip(chunk, predictions):

@@ -222,8 +222,9 @@ class RoadNetwork:
         return self._rtree.nearest(x, y, k=k, distance_fn=self.segment_distance)
 
     #: Query-chunk size bounding the (chunk, M) distance-matrix memory of the
-    #: bulk k-NN path.
-    KNN_CHUNK = 512
+    #: bulk k-NN path.  Larger blocks buy no speed: the top-k selection runs
+    #: per row either way.
+    KNN_CHUNK = 64
 
     def nearest_segments_batch(
         self, xy: np.ndarray, k: int = 1

@@ -49,28 +49,6 @@ class TransitionStatistics:
         ]
         return self
 
-    def to_payload(self) -> Dict:
-        """Picklable snapshot (counts, totals, smoothing) for IPC.
-
-        The fan-out table is derived from the network and rebuilt on
-        :meth:`from_payload`, so the payload stays network-object-free.
-        """
-        return {
-            "smoothing": self.smoothing,
-            "counts": dict(self._counts),
-            "totals": dict(self._totals),
-        }
-
-    @classmethod
-    def from_payload(
-        cls, network: RoadNetwork, payload: Dict
-    ) -> "TransitionStatistics":
-        """Rebuild statistics against ``network`` from a payload snapshot."""
-        stats = cls(network, smoothing=payload["smoothing"])
-        stats._counts = dict(payload["counts"])
-        stats._totals = dict(payload["totals"])
-        return stats
-
     def probability(self, from_edge: int, to_edge: int) -> float:
         """Smoothed P(to_edge | from_edge) among the successors of from_edge."""
         fanout = self._fanout[from_edge]

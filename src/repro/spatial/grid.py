@@ -32,22 +32,6 @@ class UniformGrid:
             for cell in self._cells_of_bbox(box):
                 self._cells.setdefault(cell, []).append(item_id)
 
-    @classmethod
-    def from_boxes(
-        cls, boxes: np.ndarray, cell_size: float = 250.0
-    ) -> "UniformGrid":
-        """Build from an id-ordered ``(size, 4)`` box array, adopted zero-copy.
-
-        Counterpart of :meth:`repro.spatial.rtree.STRtree.from_boxes` for
-        shared-memory attach: cell assignment is deterministic, so only the
-        cell dict is rebuilt per process while the box array itself is the
-        caller's (possibly shared) buffer.
-        """
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        grid = cls([tuple(row) for row in boxes.tolist()], cell_size=cell_size)
-        grid._box_array = boxes
-        return grid
-
     def _cell_of_point(self, x: float, y: float) -> Tuple[int, int]:
         return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
 

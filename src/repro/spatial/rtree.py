@@ -196,26 +196,6 @@ class STRtree:
         self._root = self._bulk_load(list(bboxes)) if bboxes else None
         self._box_array: Optional[np.ndarray] = None  # lazy, for bulk k-NN
 
-    @classmethod
-    def from_boxes(
-        cls, boxes: np.ndarray, node_capacity: int = 16
-    ) -> "STRtree":
-        """Build from an id-ordered ``(size, 4)`` box array, adopted zero-copy.
-
-        The shared-memory attach path of :mod:`repro.network.shared` hands
-        workers a read-only view over the parent's box array: the heavy
-        array that the bulk k-NN scans is shared, and only the lightweight
-        tree nodes are rebuilt per process.  STR packing is deterministic,
-        so identical floats produce an identical tree and bitwise-identical
-        query results.
-        """
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        tree = cls(
-            [tuple(row) for row in boxes.tolist()], node_capacity=node_capacity
-        )
-        tree._box_array = boxes
-        return tree
-
     # ------------------------------------------------------------------ build
 
     def _bulk_load(self, bboxes: List[BBox]) -> _Node:

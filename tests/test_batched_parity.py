@@ -22,7 +22,11 @@ from repro.matching import FMMMatcher
 from repro.matching.base import reproject_onto_route
 from repro.matching.mma.candidates import candidate_sets, candidate_sets_batch
 from repro.matching.mma.features import MMAFeatureEncoder, stack_encoded
-from repro.matching.mma.matcher import MMAMatcher, _length_buckets
+from repro.matching.mma.matcher import (
+    MAX_POINTS_PER_FORWARD,
+    MMAMatcher,
+    _length_buckets,
+)
 from repro.network.cache import LRUCache
 from repro.network.node2vec import Node2VecConfig
 from repro.network.routing import DARoutePlanner
@@ -106,10 +110,11 @@ def test_nearest_batch_respects_max_distance():
 def test_network_nearest_segments_batch(small_network):
     rng = np.random.default_rng(17)
     xmin, ymin, xmax, ymax = small_network.bounding_box()
+    n = 2 * small_network.KNN_CHUNK + 5  # crosses the query-block boundaries
     xy = np.column_stack(
         [
-            rng.uniform(xmin - 50, xmax + 50, size=50),
-            rng.uniform(ymin - 50, ymax + 50, size=50),
+            rng.uniform(xmin - 50, xmax + 50, size=n),
+            rng.uniform(ymin - 50, ymax + 50, size=n),
         ]
     )
     batch = small_network.nearest_segments_batch(xy, k=10)
@@ -214,6 +219,32 @@ def test_match_points_many_identical(trained_matcher, dataset):
             trained_matcher.match_points_many(trajectories, batch_size=batch_size)
             == sequential
         )
+
+
+def test_match_points_many_caps_points_per_forward(
+    trained_matcher, dataset, monkeypatch
+):
+    trajectories = [s.sparse for s in dataset.test] + [
+        s.sparse for s in dataset.val
+    ]
+    trajectories = trajectories * 8  # same-length buckets above the cap
+    sequential = [trained_matcher.match_points(t) for t in trajectories]
+    shapes = []
+    predict = trained_matcher.model.predict_segments_batch
+
+    def spy(batch):
+        shapes.append(batch.candidate_ids.shape[:2])
+        return predict(batch)
+
+    monkeypatch.setattr(trained_matcher.model, "predict_segments_batch", spy)
+    assert (
+        trained_matcher.match_points_many(trajectories, batch_size=64)
+        == sequential
+    )
+    assert any(b > 1 for b, _ in shapes)
+    assert len(shapes) > len({length for _, length in shapes})  # cap splits
+    for b, length in shapes:
+        assert b * length <= max(MAX_POINTS_PER_FORWARD, length)
 
 
 def test_match_many_identical(trained_matcher, dataset):

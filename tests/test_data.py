@@ -1,5 +1,7 @@
 """Trajectory datatypes, simulator, sparsifier, dataset registry."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,19 @@ class TestDatatypes:
         assert mt.validates_epsilon(15.0)
         assert not mt.validates_epsilon(10.0)
         assert mt.segments() == [0, 0, 0]
+
+    def test_matched_types_are_slotted_and_pickle(self):
+        """Recovered outputs are held by the million: no per-object dict."""
+        mt = MatchedTrajectory(
+            [MapMatchedPoint(3, 0.25, 0.0), MapMatchedPoint(4, 0.5, 15.0)]
+        )
+        assert not hasattr(mt, "__dict__")
+        assert not hasattr(mt.points[0], "__dict__")
+        restored = pickle.loads(pickle.dumps(mt))
+        assert restored == mt
+        assert restored.points[1].edge_id == 4
+        with pytest.raises(AttributeError):
+            mt.points[0].ratio = 0.75  # still frozen
 
     def test_sample_invariants(self):
         dense = MatchedTrajectory(

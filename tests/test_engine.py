@@ -1,4 +1,4 @@
-"""Execution-engine tests: shared memory, dispatch, parity, fault recovery.
+"""Execution-engine tests: worker spec, dispatch, parity, fault recovery.
 
 The parallel engine's contract is that it is a pure throughput optimisation
 — every output must be bit-exact with the serial batched path regardless of
@@ -7,12 +7,14 @@ worker count, chunking, crashes or retries.
 
 from __future__ import annotations
 
-import numpy as np
+import pickle
+
 import pytest
 
 from repro.config import EngineConfig
 from repro.data.datasets import build_dataset
 from repro.engine import ParallelEngine, SerialEngine, build_engine
+from repro.engine import parallel as parallel_module
 from repro.engine.payload import (
     pack_matched,
     pack_trajectories,
@@ -23,12 +25,6 @@ from repro.engine.spec import build_worker_runtime, build_worker_spec
 from repro.matching import NearestMatcher
 from repro.matching.mma.matcher import MMAMatcher
 from repro.network.node2vec import Node2VecConfig
-from repro.network.shared import (
-    attach_network,
-    attach_state_dict,
-    share_network,
-    share_state_dict,
-)
 from repro.recovery.trmma.recoverer import TRMMARecoverer
 
 TINY_N2V = Node2VecConfig(
@@ -69,59 +65,7 @@ def assert_recovered_equal(a, b):
             assert (pa.edge_id, pa.ratio, pa.t) == (pb.edge_id, pb.ratio, pb.t)
 
 
-# ------------------------------------------------------------ shared memory
-
-
-def test_shared_network_roundtrip(dataset):
-    network = dataset.network
-    bundle, manifest = share_network(network)
-    try:
-        rebuilt = attach_network(manifest)
-        try:
-            assert rebuilt.n_segments == network.n_segments
-            assert np.array_equal(rebuilt._seg_a, network._seg_a)
-            assert np.array_equal(rebuilt._seg_b, network._seg_b)
-            for eid, segment in enumerate(network.segments):
-                other = rebuilt.segments[eid]
-                assert (segment.u, segment.v) == (other.u, other.v)
-                assert segment.length == other.length
-            assert rebuilt.successor_table == network.successor_table
-
-            rng = np.random.default_rng(7)
-            xmin, ymin, xmax, ymax = network.bounding_box()
-            xy = np.column_stack([
-                rng.uniform(xmin - 50, xmax + 50, size=30),
-                rng.uniform(ymin - 50, ymax + 50, size=30),
-            ])
-            assert (
-                rebuilt.nearest_segments_batch(xy, k=8)
-                == network.nearest_segments_batch(xy, k=8)
-            )
-            for x, y in xy[:5]:
-                assert rebuilt.nearest_segments(
-                    float(x), float(y), k=4
-                ) == network.nearest_segments(float(x), float(y), k=4)
-        finally:
-            rebuilt._shared_bundle.close()
-    finally:
-        bundle.close()
-        bundle.unlink()
-
-
-def test_shared_state_dict_roundtrip(trained):
-    matcher, _ = trained
-    state = matcher.model.state_dict()
-    bundle, manifest = share_state_dict(state)
-    try:
-        attached, view = attach_state_dict(manifest)
-        assert set(attached) == set(state)
-        for name, value in state.items():
-            assert np.array_equal(attached[name], value)
-            assert attached[name].dtype == value.dtype
-        view.close()
-    finally:
-        bundle.close()
-        bundle.unlink()
+# ------------------------------------------------------- payload and spec
 
 
 def test_payload_roundtrip(trajectories, trained, dataset):
@@ -139,26 +83,27 @@ def test_payload_roundtrip(trajectories, trained, dataset):
     )
     assert_recovered_equal(unpack_matched(pack_matched(recovered)), recovered)
 
+    assert unpack_trajectories(pack_trajectories([])) == []
+    assert unpack_matched(pack_matched([])) == []
 
-def test_worker_runtime_is_bit_exact(trained, trajectories):
+
+def test_worker_runtime_is_bit_exact(trained, trajectories, dataset):
     matcher, recoverer = trained
-    spec, bundles = build_worker_spec(matcher, recoverer)
-    try:
-        runtime = build_worker_runtime(spec)
-        try:
-            subset = trajectories[:6]
-            assert runtime.matcher.match_points_many(
-                subset, batch_size=4
-            ) == matcher.match_points_many(subset, batch_size=4)
-            assert runtime.matcher.match_many(
-                subset, batch_size=4
-            ) == matcher.match_many(subset, batch_size=4)
-        finally:
-            runtime.network._shared_bundle.close()
-    finally:
-        for bundle in bundles:
-            bundle.close()
-            bundle.unlink()
+    spec = build_worker_spec(matcher, recoverer)
+    subset = trajectories[:6]
+    # A forked worker inherits the spec; a spawned one unpickles it.
+    for received in (spec, pickle.loads(pickle.dumps(spec))):
+        runtime = build_worker_runtime(received)
+        assert runtime.matcher.match_points_many(
+            subset, batch_size=4
+        ) == matcher.match_points_many(subset, batch_size=4)
+        assert runtime.matcher.match_many(
+            subset, batch_size=4
+        ) == matcher.match_many(subset, batch_size=4)
+        assert_recovered_equal(
+            runtime.recoverer.recover_many(subset, dataset.epsilon, batch_size=4),
+            recoverer.recover_many(subset, dataset.epsilon, batch_size=4),
+        )
 
 
 # ------------------------------------------------------- parallel dispatch
@@ -166,9 +111,8 @@ def test_worker_runtime_is_bit_exact(trained, trajectories):
 
 def engine_pair(trained, **overrides):
     matcher, recoverer = trained
-    config = EngineConfig(
-        engine="parallel", workers=2, chunk_size=3, batch_size=8, **overrides
-    )
+    settings = dict(engine="parallel", workers=2, chunk_size=3, batch_size=8)
+    config = EngineConfig(**{**settings, **overrides})
     return (
         SerialEngine(matcher, recoverer, config),
         ParallelEngine(matcher, recoverer, config),
@@ -196,6 +140,49 @@ def test_parallel_matches_serial(trained, trajectories, dataset):
         )
         assert p_routes == s_routes
         assert_recovered_equal(p_dense, s_dense)
+
+
+def test_spawned_workers_match_serial(trained, trajectories, dataset):
+    """A spawned worker gets its spec by pickle, not by fork inheritance."""
+    serial, parallel = engine_pair(trained, start_method="spawn", workers=1)
+    with parallel:
+        parallel.warm_up()
+        assert len(parallel._workers) == 1
+        routes, dense = parallel.match_and_recover(trajectories, dataset.epsilon)
+        s_routes, s_dense = serial.match_and_recover(
+            trajectories, dataset.epsilon
+        )
+        assert routes == s_routes
+        assert_recovered_equal(dense, s_dense)
+
+
+def test_requests_split_into_one_share_per_live_worker(
+    trained, trajectories, monkeypatch
+):
+    sizes = []
+    pack = parallel_module.pack_trajectories
+
+    def spy(chunk):
+        sizes.append(len(chunk))
+        return pack(chunk)
+
+    monkeypatch.setattr(parallel_module, "pack_trajectories", spy)
+    serial, parallel = engine_pair(trained)  # 2 workers, chunk_size 3
+    requests = (trajectories * 2)[:10]
+    with parallel:
+        parallel.warm_up()
+        assert parallel.match(requests) == serial.match(requests)
+        assert sizes == [5, 5]
+        sizes.clear()
+        assert parallel.match(requests[:4]) == serial.match(requests[:4])
+        assert sizes == [3, 1]  # chunk_size is the smallest share
+        sizes.clear()
+        lost = parallel._workers[1].process
+        lost.kill()
+        lost.join()
+        assert parallel.match(requests) == serial.match(requests)
+        assert sizes == [10]  # one survivor, one share
+        assert list(parallel._workers) == [0]
 
 
 def test_worker_crash_triggers_retry(trained, trajectories, dataset):

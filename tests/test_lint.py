@@ -103,7 +103,7 @@ def test_worker_reachability_matches_engine_imports():
         "repro.engine.payload",
         "repro.telemetry.caches",
         "repro.nn.tensor",
-        "repro.network.shared",
+        "repro.network.road_network",
     ):
         assert module in reachable, module
     # Experiments and the linter itself never run inside workers.

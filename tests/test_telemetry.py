@@ -374,13 +374,8 @@ class TestWorkerSpans:
             with telemetry.span("fine"):
                 return kind
 
-        runtime = SimpleNamespace(
-            network=SimpleNamespace(
-                _shared_bundle=SimpleNamespace(close=lambda: None)
-            )
-        )
         monkeypatch.setattr(
-            engine_worker, "build_worker_runtime", lambda spec: runtime
+            engine_worker, "build_worker_runtime", lambda spec: SimpleNamespace()
         )
         monkeypatch.setattr(engine_worker, "execute_task", execute_task)
         # worker_main switches telemetry off process-wide; restore it after.
