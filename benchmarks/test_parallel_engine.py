@@ -19,10 +19,7 @@ import os
 
 from repro.config import EngineConfig
 from repro.engine import ParallelEngine, SerialEngine
-from repro.eval.efficiency import (
-    matching_inference_time_engine,
-    recovery_inference_time_engine,
-)
+from repro.eval.efficiency import inference_time
 from repro.experiments.common import (
     BENCH_BATCH_SIZE,
     get_dataset,
@@ -53,13 +50,11 @@ def _recovered_equal(a, b) -> bool:
 def test_parallel_engine_throughput(benchmark):
     scale = SWEEP_SCALE  # bench scale, PT
     dataset = get_dataset("PT", scale)
-    matcher = MMAMatcher.from_config(
-        dataset.network, mma_config(scale), seed=scale.seed
-    )
+    matcher = MMAMatcher(dataset.network, mma_config(scale), seed=scale.seed)
     from repro.matching import attach_planner_statistics
 
     attach_planner_statistics(matcher, dataset.transition_statistics())
-    recoverer = TRMMARecoverer.from_config(
+    recoverer = TRMMARecoverer(
         dataset.network, matcher, trmma_config(scale), seed=scale.seed
     )
     # One epoch each: throughput does not depend on model quality.
@@ -72,14 +67,18 @@ def test_parallel_engine_throughput(benchmark):
     )
     serial = SerialEngine(matcher, recoverer, config)
 
+    def match_time(engine):
+        return inference_time(engine.match, dataset.test)
+
+    def recover_time(engine):
+        return inference_time(
+            lambda ts: engine.recover(ts, dataset.epsilon), dataset.test
+        )
+
     def measure():
         results = {}
-        results["serial_match_s_per_1000"] = matching_inference_time_engine(
-            serial, dataset
-        )
-        results["serial_recover_s_per_1000"] = recovery_inference_time_engine(
-            serial, dataset
-        )
+        results["serial_match_s_per_1000"] = match_time(serial)
+        results["serial_recover_s_per_1000"] = recover_time(serial)
         with ParallelEngine(matcher, recoverer, config) as parallel:
             parallel.warm_up()
             results["workers"] = parallel.workers
@@ -90,12 +89,8 @@ def test_parallel_engine_throughput(benchmark):
                 parallel.recover(trajectories, dataset.epsilon),
                 serial.recover(trajectories, dataset.epsilon),
             )
-            results["parallel_match_s_per_1000"] = (
-                matching_inference_time_engine(parallel, dataset)
-            )
-            results["parallel_recover_s_per_1000"] = (
-                recovery_inference_time_engine(parallel, dataset)
-            )
+            results["parallel_match_s_per_1000"] = match_time(parallel)
+            results["parallel_recover_s_per_1000"] = recover_time(parallel)
         return results
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)

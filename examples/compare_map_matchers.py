@@ -12,7 +12,7 @@ inference time per 1000 trajectories.
 import sys
 
 from repro import build_dataset
-from repro.eval import evaluate_matching, matching_inference_time
+from repro.eval import evaluate_matching, inference_time
 from repro.experiments.common import BENCH, build_matchers, fit_matcher
 from repro.utils.tables import render_metric_table
 
@@ -27,7 +27,9 @@ def main(dataset_name: str = "XA") -> None:
     for name, matcher in matchers.items():
         fit_matcher(matcher, dataset, epochs=8)
         metrics = evaluate_matching(matcher, dataset)
-        metrics["s/1000"] = matching_inference_time(matcher, dataset)
+        metrics["s/1000"] = inference_time(
+            lambda ts: [matcher.match(t) for t in ts], dataset.test
+        )
         table[name] = metrics
         print(f"trained {name}: F1={metrics['f1']:.2f}")
 

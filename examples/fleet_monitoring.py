@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from repro import build_dataset
+from repro.config import MMAConfig, TRMMAConfig
 from repro.matching import MMAMatcher, attach_planner_statistics
 from repro.network.node2vec import Node2VecConfig
 from repro.recovery import TRMMARecoverer
@@ -38,13 +39,18 @@ def main() -> None:
           f"(target rate {dataset.epsilon:.0f}s)")
 
     matcher = MMAMatcher(
-        dataset.network, d0=32, d2=32,
-        node2vec_config=Node2VecConfig(dimensions=32, walks_per_node=2, epochs=1),
+        dataset.network,
+        MMAConfig(
+            d0=32,
+            d2=32,
+            node2vec=Node2VecConfig(dimensions=32, walks_per_node=2, epochs=1),
+        ),
         seed=1,
     )
     attach_planner_statistics(matcher, dataset.transition_statistics())
-    recoverer = TRMMARecoverer(dataset.network, matcher, d_h=32, ffn_hidden=128,
-                               seed=1)
+    recoverer = TRMMARecoverer(
+        dataset.network, matcher, TRMMAConfig(d_h=32, ffn_hidden=128), seed=1
+    )
     recoverer.fit(dataset, epochs=5, matcher_epochs=10)
 
     recovered = [

@@ -13,6 +13,7 @@ Walks the full pipeline of the paper on a small synthetic dataset:
 """
 
 from repro import build_dataset
+from repro.config import MMAConfig, TRMMAConfig
 from repro.eval import evaluate_matching, evaluate_recovery
 from repro.matching import MMAMatcher, attach_planner_statistics
 from repro.network.node2vec import Node2VecConfig
@@ -29,21 +30,24 @@ def main() -> None:
     #    candidate segments; the DA planner stitches the route.
     matcher = MMAMatcher(
         dataset.network,
-        d0=32,
-        d2=32,
-        node2vec_config=Node2VecConfig(dimensions=32, walks_per_node=2, epochs=1),
+        MMAConfig(
+            d0=32,
+            d2=32,
+            node2vec=Node2VecConfig(dimensions=32, walks_per_node=2, epochs=1),
+        ),
         seed=0,
     )
     attach_planner_statistics(matcher, dataset.transition_statistics())
     for epoch in range(6):
         loss = matcher.fit_epoch(dataset)
         print(f"MMA epoch {epoch}: loss={loss:.4f} "
-              f"val-acc={matcher.validation_accuracy(dataset):.3f}")
+              f"val-acc={matcher.validation_point_accuracy(dataset):.3f}")
     print("MMA matching quality:", evaluate_matching(matcher, dataset))
 
     # 3. Recovery: TRMMA decodes missing points over the MMA route.
-    recoverer = TRMMARecoverer(dataset.network, matcher, d_h=32, ffn_hidden=128,
-                               seed=0)
+    recoverer = TRMMARecoverer(
+        dataset.network, matcher, TRMMAConfig(d_h=32, ffn_hidden=128), seed=0
+    )
     for epoch in range(4):
         loss = recoverer.fit_epoch(dataset)
         print(f"TRMMA epoch {epoch}: loss={loss:.4f}")

@@ -1,7 +1,7 @@
 """The unified entry point: build, train, and run TRMMA/MMA behind one object.
 
-Before this facade existed, callers assembled the stack by hand — construct
-``MMAMatcher`` with a dozen kwargs, attach planner statistics, construct
+Without this facade, callers assemble the stack by hand — construct
+``MMAMatcher`` from its config, attach planner statistics, construct
 ``TRMMARecoverer`` around it, then pick between ``match_many`` /
 ``recover_many`` kwargs at every call site.  :class:`Pipeline` owns that
 wiring: hyperparameters come in as one validated
@@ -69,12 +69,12 @@ class Pipeline:
         from ..matching.mma.matcher import MMAMatcher
 
         config = config or PipelineConfig()
-        matcher = MMAMatcher.from_config(network, config.mma, seed=config.seed)
+        matcher = MMAMatcher(network, config.mma, seed=config.seed)
         if statistics is not None:
             attach_planner_statistics(matcher, statistics)
         recoverer = None
         if config.trmma is not None:
-            recoverer = TRMMARecoverer.from_config(
+            recoverer = TRMMARecoverer(
                 network, matcher, config.trmma, seed=config.seed
             )
         return cls(matcher, recoverer, engine_config=config.engine)
@@ -100,7 +100,6 @@ class Pipeline:
         dataset: "Dataset",
         epochs: int = 5,
         matcher_epochs: Optional[int] = None,
-        batch_size: int = 1,
     ) -> "Pipeline":
         """Train the matcher, then the recovery model (when present).
 
@@ -111,10 +110,7 @@ class Pipeline:
         self._reset_engine()
         if self.recoverer is not None:
             self.recoverer.fit(
-                dataset,
-                epochs=epochs,
-                matcher_epochs=matcher_epochs,
-                batch_size=batch_size,
+                dataset, epochs=epochs, matcher_epochs=matcher_epochs
             )
         elif self.matcher.requires_training:
             n = matcher_epochs if matcher_epochs is not None else epochs

@@ -136,12 +136,19 @@ class EngineConfig(_Config):
     one contiguous share per live worker, of ``max(chunk_size, ceil(n / W))``
     trajectories each: ``chunk_size`` is the smallest unit worth sending to
     a worker, not a fixed share size.
+
+    ``batch_size`` caps the trajectories per MMA forward.  At 24 or more
+    it is inert: every sparse trajectory has at least 2 points
+    (``sparsify_trip`` keeps both ends), so the cap of
+    :data:`~repro.matching.mma.matcher.MAX_POINTS_PER_FORWARD` = 48 points
+    per forward already limits a call to 24 trajectories.  Every caller
+    passes 32; the field stays only because ``perfbench`` passes it.
     """
 
     engine: str = "auto"
     workers: int = field(default_factory=default_workers)
     chunk_size: int = 16  # smallest share of a request sent to a worker
-    batch_size: int = 32  # same-length bucket chunking inside a worker
+    batch_size: int = 32  # trajectories per MMA forward; inert at >= 24
     max_retries: int = 2  # per-share retries after worker crash/timeout
     task_timeout_s: float = 300.0  # per-share wall-clock limit
     start_method: Optional[str] = None  # "fork" | "spawn" | None = auto

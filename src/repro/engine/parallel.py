@@ -99,6 +99,7 @@ class ParallelEngine:
         spec = build_worker_spec(
             self.matcher,
             self.recoverer,
+            engine_config=self.config,
             telemetry_enabled=telemetry_state.enabled(),
             fault_crashes=self._fault_crashes,
         )
@@ -197,7 +198,7 @@ class ParallelEngine:
     ) -> List[MatchedTrajectory]:
         """Recovered ``epsilon``-dense trajectories (Algorithm 2)."""
         self._serial._require_recoverer()
-        return self._run("recover", trajectories, epsilon=epsilon)
+        return self._run("recover", trajectories, epsilon)
 
     def match_and_recover(
         self, trajectories: Sequence[Trajectory], epsilon: float
@@ -205,7 +206,7 @@ class ParallelEngine:
         """Routes and recovered trajectories with one matcher pass."""
         self._serial._require_recoverer()
         chunk_results = self._run(
-            "match_recover", trajectories, epsilon=epsilon, concatenate=False
+            "match_and_recover", trajectories, epsilon, concatenate=False
         )
         routes: List[List[int]] = []
         recovered: List[MatchedTrajectory] = []
@@ -220,14 +221,16 @@ class ParallelEngine:
         self,
         kind: str,
         trajectories: Sequence[Trajectory],
-        epsilon: Optional[float] = None,
+        *args: float,
         concatenate: bool = True,
-    ):
+    ) -> Any:
+        """Run ``SerialEngine.<kind>(share, *args)`` on every share of
+        ``trajectories`` in the workers; results in submission order."""
         if self._closed:
             raise RuntimeError("engine is closed")
         trajectories = list(trajectories)
         if not trajectories:
-            return [] if concatenate else []
+            return []
         self.start()
         self._reap_dead_workers()
         size = max(
@@ -243,7 +246,7 @@ class ParallelEngine:
         # mistaken for a result of this one.
         base = self._task_counter
         self._task_counter += len(chunks)
-        results = self._dispatch(kind, chunks, epsilon, base)
+        results = self._dispatch(kind, chunks, args, base)
         ordered = [results[base + index] for index in range(len(chunks))]
         if concatenate:
             return [item for chunk in ordered for item in chunk]
@@ -253,15 +256,14 @@ class ParallelEngine:
         self,
         kind: str,
         chunks: List[List[Trajectory]],
-        epsilon: Optional[float],
+        args: Tuple[float, ...],
         base: int,
     ) -> Dict[int, Any]:
         record_telemetry = telemetry_state.enabled()
         payloads = {
             base + index: {
                 "trajectories": pack_trajectories(chunk),
-                "batch_size": self.config.batch_size,
-                "epsilon": epsilon,
+                "args": args,
                 "telemetry": record_telemetry,
             }
             for index, chunk in enumerate(chunks)
@@ -277,8 +279,9 @@ class ParallelEngine:
         assigned: Dict[int, Tuple[int, float]] = {}  # wid -> (cid, deadline)
 
         def run_inline(chunk_id: int) -> None:
-            results[chunk_id] = self._run_serial_chunk(
-                kind, chunks[chunk_id - base], epsilon
+            # The parent's own models run the share.
+            results[chunk_id] = getattr(self._serial, kind)(
+                chunks[chunk_id - base], *args
             )
 
         def requeue(chunk_id: int) -> None:
@@ -386,24 +389,10 @@ class ParallelEngine:
         """Unpack worker result payloads to the public result shapes."""
         if task_kind == "recover":
             return unpack_matched(payload)
-        if task_kind == "match_recover":
+        if task_kind == "match_and_recover":
             routes, packed = payload
             return routes, unpack_matched(packed)
         return payload
-
-    def _run_serial_chunk(
-        self, kind: str, chunk: List[Trajectory], epsilon: Optional[float]
-    ) -> Any:
-        """Inline fallback: run one chunk on the parent's own models."""
-        if kind == "match_points":
-            return self._serial.match_points(chunk)
-        if kind == "match":
-            return self._serial.match(chunk)
-        if kind == "recover":
-            return self._serial.recover(chunk, epsilon)
-        if kind == "match_recover":
-            return self._serial.match_and_recover(chunk, epsilon)
-        raise ValueError(f"unknown task kind {kind!r}")
 
     def _reap_dead_workers(self) -> None:
         """Drop workers that died between requests, so shares go to the

@@ -18,7 +18,12 @@ from ..recovery.trmma.recoverer import TRMMARecoverer
 
 
 class SerialEngine:
-    """Single-process engine over the batched matcher/recoverer paths."""
+    """Single-process engine over the batched matcher/recoverer paths.
+
+    Its four inference methods are also the task kinds of the parallel
+    engine: a worker runs each share through the same-named method of a
+    :class:`SerialEngine` over its rebuilt models.
+    """
 
     def __init__(
         self,

@@ -7,9 +7,10 @@ dicts.  Under ``fork`` (the Linux default) a worker inherits them from the
 parent without a copy; under ``spawn`` they are pickled once per worker.
 
 :func:`build_worker_spec` extracts the spec from a live matcher/recoverer
-pair; :func:`build_worker_runtime` is its inverse, run inside each worker.
-The rebuilt runtime is bit-exact: the same network, identical weights and
-identical planner parameters.
+pair; :func:`build_worker_runtime` is its inverse, run inside each worker:
+it returns a :class:`~repro.engine.serial.SerialEngine` over the rebuilt
+models.  The rebuilt runtime is bit-exact: the same network, identical
+weights and identical planner parameters.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..config import MMAConfig, TRMMAConfig
+from ..config import EngineConfig, MMAConfig, TRMMAConfig
 from ..matching.mma.matcher import MMAMatcher
 from ..network.road_network import RoadNetwork
 from ..network.routing import DARoutePlanner, TransitionStatistics
 from ..recovery.trmma.recoverer import TRMMARecoverer
+from .serial import SerialEngine
 
 
 @dataclass(frozen=True)
@@ -40,24 +42,17 @@ class WorkerSpec:
     trmma_config: Optional[TRMMAConfig] = None
     trmma_state: Optional[Dict[str, np.ndarray]] = None
     trmma_name: Optional[str] = None
+    engine_config: Optional[EngineConfig] = None
     telemetry_enabled: bool = False
     #: Test-only fault injection: ``(worker_id, chunk_id)`` pairs on which a
     #: worker hard-exits mid-task, simulating a crash for the retry tests.
     fault_crashes: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
 
 
-@dataclass
-class WorkerRuntime:
-    """The rebuilt per-process inference stack."""
-
-    network: RoadNetwork
-    matcher: MMAMatcher
-    recoverer: Optional[TRMMARecoverer]
-
-
 def build_worker_spec(
     matcher: MMAMatcher,
     recoverer: Optional[TRMMARecoverer] = None,
+    engine_config: Optional[EngineConfig] = None,
     telemetry_enabled: bool = False,
     fault_crashes: Tuple[Tuple[int, int], ...] = (),
 ) -> WorkerSpec:
@@ -85,12 +80,13 @@ def build_worker_spec(
         trmma_config=trmma_config,
         trmma_state=trmma_state,
         trmma_name=trmma_name,
+        engine_config=engine_config,
         telemetry_enabled=telemetry_enabled,
         fault_crashes=tuple(fault_crashes),
     )
 
 
-def build_worker_runtime(spec: WorkerSpec) -> WorkerRuntime:
+def build_worker_runtime(spec: WorkerSpec) -> SerialEngine:
     """Rebuild the inference stack from a spec (runs inside the worker)."""
     network = spec.network
     planner = DARoutePlanner(
@@ -99,14 +95,14 @@ def build_worker_runtime(spec: WorkerSpec) -> WorkerRuntime:
         tau=spec.planner_tau,
         route_cache_capacity=spec.planner_cache_capacity,
     )
-    matcher = MMAMatcher.from_config(network, spec.mma_config, planner=planner)
+    matcher = MMAMatcher(network, spec.mma_config, planner=planner)
     matcher.model.load_state_dict(spec.mma_state)
     matcher.detour_tolerance = spec.detour_tolerance
 
     recoverer = None
     if spec.trmma_config is not None and spec.trmma_state is not None:
-        recoverer = TRMMARecoverer.from_config(
+        recoverer = TRMMARecoverer(
             network, matcher, spec.trmma_config, name=spec.trmma_name
         )
         recoverer.model.load_state_dict(spec.trmma_state)
-    return WorkerRuntime(network=network, matcher=matcher, recoverer=recoverer)
+    return SerialEngine(matcher, recoverer, spec.engine_config)

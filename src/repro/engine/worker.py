@@ -2,9 +2,11 @@
 
 Each worker rebuilds the inference runtime from its :class:`WorkerSpec`
 (loading the trained weights into fresh models over the spec's road
-network), then serves ``(chunk_id, kind, payload)`` tasks from its inbox
-queue until it receives the ``None`` shutdown sentinel.  A chunk is one
-contiguous share of a request (see :class:`ParallelEngine`).
+network, behind a :class:`~repro.engine.serial.SerialEngine`), then serves
+``(chunk_id, kind, payload)`` tasks from its inbox queue until it receives
+the ``None`` shutdown sentinel.  A chunk is one contiguous share of a
+request (see :class:`ParallelEngine`); its ``kind`` is the name of the
+:class:`SerialEngine` method that runs it.
 
 Message protocol (all tuples ``(type, worker_id, chunk_id, payload,
 telemetry_state)`` on the shared outbox):
@@ -30,44 +32,33 @@ from typing import Any, Dict, Tuple
 
 from ..telemetry import state as telemetry_state
 from .payload import pack_matched, unpack_trajectories
-from .spec import WorkerRuntime, WorkerSpec, build_worker_runtime
+from .serial import SerialEngine
+from .spec import WorkerSpec, build_worker_runtime
 
 #: Exit code of an injected fault crash (distinguishable in tests).
 FAULT_EXIT_CODE = 17
 
+#: Task kinds: the :class:`SerialEngine` methods a share can run.
+TASK_KINDS = ("match_points", "match", "recover", "match_and_recover")
 
-def execute_task(runtime: WorkerRuntime, kind: str, payload: Dict) -> Any:
-    """Run one task kind against the rebuilt runtime.
+
+def execute_task(engine: SerialEngine, kind: str, payload: Dict) -> Any:
+    """Run ``engine.<kind>(trajectories, *payload["args"])`` on one share.
 
     Results use compact picklable shapes: plain int lists for routes and
     point matches, packed arrays (:func:`pack_matched`) for recovered
     trajectories.
     """
+    if kind not in TASK_KINDS:
+        raise ValueError(f"unknown task kind {kind!r}")
     trajectories = unpack_trajectories(payload["trajectories"])
-    batch_size = payload["batch_size"]
-    if kind == "match_points":
-        return runtime.matcher.match_points_many(
-            trajectories, batch_size=batch_size
-        )
-    if kind == "match":
-        return runtime.matcher.match_many(trajectories, batch_size=batch_size)
-    if runtime.recoverer is None:
-        raise ValueError(f"worker has no recoverer for task kind {kind!r}")
+    result = getattr(engine, kind)(trajectories, *payload["args"])
     if kind == "recover":
-        return pack_matched(
-            runtime.recoverer.recover_many(
-                trajectories, payload["epsilon"], batch_size=batch_size
-            )
-        )
-    if kind == "match_recover":
-        all_segments = runtime.recoverer.matcher.match_points_many(
-            trajectories, batch_size=batch_size
-        )
-        routes, recovered = runtime.recoverer.recover_from_point_matches(
-            trajectories, all_segments, payload["epsilon"]
-        )
+        return pack_matched(result)
+    if kind == "match_and_recover":
+        routes, recovered = result
         return routes, pack_matched(recovered)
-    raise ValueError(f"unknown task kind {kind!r}")
+    return result
 
 
 def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
@@ -77,7 +68,7 @@ def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> No
         # pollute per-chunk exports; each task then opts in explicitly.
         telemetry_state.disable()
         telemetry_state.reset()
-        runtime = build_worker_runtime(spec)
+        engine = build_worker_runtime(spec)
     except BaseException:
         outbox.put(("init_error", worker_id, None, traceback.format_exc(), None))
         return
@@ -95,7 +86,7 @@ def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> No
         registry = telemetry_state.get_registry()
         try:
             with telemetry_state.enabled_scope(record):
-                result = execute_task(runtime, kind, payload)
+                result = execute_task(engine, kind, payload)
             exported = registry.export_state() if record else None
             outbox.put(("ok", worker_id, chunk_id, result, exported))
         except BaseException:

@@ -2,10 +2,7 @@
 
 from .efficiency import (
     efficiency_report,
-    matching_inference_time,
-    matching_inference_time_engine,
-    recovery_inference_time,
-    recovery_inference_time_engine,
+    inference_time,
     training_time_per_epoch,
 )
 from .evaluate import evaluate_matching, evaluate_recovery, train_method
@@ -22,7 +19,5 @@ __all__ = [
     "recovery_metrics", "matching_metrics", "aggregate", "as_percentages",
     "RECOVERY_METRICS", "MATCHING_METRICS",
     "evaluate_recovery", "evaluate_matching", "train_method",
-    "recovery_inference_time", "matching_inference_time",
-    "recovery_inference_time_engine", "matching_inference_time_engine",
-    "training_time_per_epoch", "efficiency_report",
+    "inference_time", "training_time_per_epoch", "efficiency_report",
 ]

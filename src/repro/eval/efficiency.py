@@ -11,135 +11,36 @@ slower).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..data.datasets import Dataset
-from ..data.trajectory import TrajectorySample
-from ..matching.base import MapMatcher
-from ..recovery.base import TrajectoryRecoverer
+from ..data.trajectory import Trajectory, TrajectorySample
 from ..telemetry import span
 from ..utils.timing import time_call
 
 
-def recovery_inference_time(
-    recoverer: TrajectoryRecoverer,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
+def inference_time(
+    run: Callable[[List[Trajectory]], object],
+    samples: Sequence[TrajectorySample],
 ) -> float:
-    """Seconds per 1000 recoveries over the test split."""
-    samples = dataset.test if samples is None else samples
-    if not samples:
-        raise ValueError("no samples to time")
+    """Seconds per 1000 trajectories of ``run(trajectories)`` over the
+    sparse trajectories of ``samples``.
 
-    def run() -> None:
-        with span("inference"):
-            for sample in samples:
-                recoverer.recover(sample.sparse, dataset.epsilon)
-
-    return time_call(run) * 1000.0 / len(samples)
-
-
-def matching_inference_time(
-    matcher: MapMatcher,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
-) -> float:
-    """Seconds per 1000 map matchings over the test split."""
-    samples = dataset.test if samples is None else samples
-    if not samples:
-        raise ValueError("no samples to time")
-
-    def run() -> None:
-        with span("inference"):
-            for sample in samples:
-                matcher.match(sample.sparse)
-
-    return time_call(run) * 1000.0 / len(samples)
-
-
-def recovery_inference_time_batched(
-    recoverer: TrajectoryRecoverer,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
-    batch_size: int = 32,
-) -> float:
-    """Seconds per 1000 recoveries using the batched recovery pipeline
-    (:meth:`~repro.recovery.base.TrajectoryRecoverer.recover_many`)."""
-    samples = dataset.test if samples is None else samples
-    if not samples:
-        raise ValueError("no samples to time")
-    trajectories = [sample.sparse for sample in samples]
-
-    def run() -> None:
-        with span("inference"):
-            recoverer.recover_many(
-                trajectories, dataset.epsilon, batch_size=batch_size
-            )
-
-    return time_call(run) * 1000.0 / len(samples)
-
-
-def matching_inference_time_batched(
-    matcher: MapMatcher,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
-    batch_size: int = 32,
-) -> float:
-    """Seconds per 1000 map matchings using the batched inference path
-    (:meth:`~repro.matching.base.MapMatcher.match_many`); results are
-    bit-identical to the sequential path for MMA."""
-    samples = dataset.test if samples is None else samples
-    if not samples:
-        raise ValueError("no samples to time")
-    trajectories = [sample.sparse for sample in samples]
-
-    def run() -> None:
-        with span("inference"):
-            matcher.match_many(trajectories, batch_size=batch_size)
-
-    return time_call(run) * 1000.0 / len(samples)
-
-
-def recovery_inference_time_engine(
-    engine,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
-) -> float:
-    """Seconds per 1000 recoveries through an execution engine.
-
-    Works with both :class:`~repro.engine.SerialEngine` and
-    :class:`~repro.engine.ParallelEngine`; call the engine's ``warm_up()``
-    (pool start + worker runtime rebuild) before timing a parallel one so
-    the measured window is steady-state throughput.
+    ``run`` is any inference entry: a per-trajectory loop
+    (``lambda ts: [m.match(t) for t in ts]``), a batched call
+    (``m.match_many``) or an engine (``engine.match``).  Start a parallel
+    engine (``warm_up()``) before timing it, so the window measures
+    steady-state throughput.
     """
-    samples = dataset.test if samples is None else samples
     if not samples:
         raise ValueError("no samples to time")
     trajectories = [sample.sparse for sample in samples]
 
-    def run() -> None:
+    def timed() -> None:
         with span("inference"):
-            engine.recover(trajectories, dataset.epsilon)
+            run(trajectories)
 
-    return time_call(run) * 1000.0 / len(samples)
-
-
-def matching_inference_time_engine(
-    engine,
-    dataset: Dataset,
-    samples: Optional[Sequence[TrajectorySample]] = None,
-) -> float:
-    """Seconds per 1000 map matchings through an execution engine."""
-    samples = dataset.test if samples is None else samples
-    if not samples:
-        raise ValueError("no samples to time")
-    trajectories = [sample.sparse for sample in samples]
-
-    def run() -> None:
-        with span("inference"):
-            engine.match(trajectories)
-
-    return time_call(run) * 1000.0 / len(samples)
+    return time_call(timed) * 1000.0 / len(samples)
 
 
 def training_time_per_epoch(method, dataset: Dataset) -> float:

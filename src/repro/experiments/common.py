@@ -28,7 +28,6 @@ from ..matching import (
     attach_planner_statistics,
 )
 from ..network.distances import NetworkDistance
-from ..network.node2vec import Node2VecConfig
 from ..recovery import (
     DHTRRecoverer,
     LinearInterpolationRecoverer,
@@ -43,6 +42,7 @@ from ..recovery import (
 )
 from ..recovery.seq2seq import ModelRouteMatcher
 from ..recovery.trmma import TRMMARecoverer
+from ..recovery.trmma.ablations import FAST_NODE2VEC
 from ..telemetry import log as telemetry_log
 from ..telemetry import span
 
@@ -73,11 +73,6 @@ FULL = ExperimentScale("full", n_trips=400, epochs=12, matcher_epochs=16,
 #: Mini-batch size used by the batched inference entries of the efficiency
 #: figures (Figs. 5/9).
 BENCH_BATCH_SIZE = 32
-
-#: Node2Vec settings for experiment-scale MMA builds (cheap but effective).
-FAST_NODE2VEC = Node2VecConfig(
-    dimensions=32, walk_length=12, walks_per_node=2, window=3, negatives=3, epochs=1
-)
 
 def mma_config(scale: ExperimentScale) -> MMAConfig:
     """The experiment-scale MMA hyperparameters as a typed config."""
@@ -147,9 +142,7 @@ def build_matchers(
         "RNTrajRec": ModelRouteMatcher(rn_model, name="RNTrajRec"),
         "DeepMM": DeepMMMatcher(net, seed=seed),
         "GraphMM": GraphMMMatcher(net, seed=seed),
-        "MMA": MMAMatcher.from_config(
-            net, mma_config(scale), seed=seed,
-        ),
+        "MMA": MMAMatcher(net, mma_config(scale), seed=seed),
     }
     for matcher in matchers.values():
         attach_planner_statistics(matcher, stats)
@@ -205,7 +198,7 @@ def build_recoverers(
 
     fmm = FMMMatcher(net)
     attach_planner_statistics(fmm, stats)
-    mma = MMAMatcher.from_config(net, mma_config(scale), seed=seed)
+    mma = MMAMatcher(net, mma_config(scale), seed=seed)
     attach_planner_statistics(mma, stats)
 
     return {
@@ -218,9 +211,7 @@ def build_recoverers(
         "MTrajRec": MTrajRecRecoverer(net, d_h=d_h, seed=seed),
         "MM-STGED": MMSTGEDRecoverer(net, d_h=d_h, statistics=stats, seed=seed),
         "RNTrajRec": RNTrajRecRecoverer(net, d_h=d_h, seed=seed),
-        "TRMMA": TRMMARecoverer.from_config(
-            net, mma, trmma_config(scale), seed=seed
-        ),
+        "TRMMA": TRMMARecoverer(net, mma, trmma_config(scale), seed=seed),
     }
 
 

@@ -15,6 +15,7 @@ DESIGN.md §7 calls out the design choices worth quantifying:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Sequence
 
 from ..eval.metrics import aggregate, matching_metrics
@@ -22,7 +23,7 @@ from ..matching import MMAMatcher, attach_planner_statistics
 from ..network.routing import DARoutePlanner
 from ..network.shortest_path import concatenate_routes
 from ..utils.tables import render_series
-from .common import BENCH, FAST_NODE2VEC, ExperimentScale, fit_matcher, get_dataset
+from .common import BENCH, ExperimentScale, fit_matcher, get_dataset, mma_config
 
 KC_VALUES = (1, 2, 5, 10)
 TAU_VALUES = (0.0, 10.0, 30.0)
@@ -47,11 +48,10 @@ def run_kc_sweep(
         stats = dataset.transition_statistics()
         curve: Dict[int, float] = {}
         for k_c in kc_values:
-            matcher = MMAMatcher(
-                dataset.network, k_c=k_c, d0=scale.d_h, d2=scale.d_h,
-                ffn_hidden=4 * scale.d_h, node2vec_config=FAST_NODE2VEC,
-                seed=scale.seed,
+            config = replace(
+                mma_config(scale), k_c=k_c, ffn_hidden=4 * scale.d_h
             )
+            matcher = MMAMatcher(dataset.network, config, seed=scale.seed)
             attach_planner_statistics(matcher, stats)
             fit_matcher(matcher, dataset, scale.matcher_epochs)
             curve[k_c] = _point_accuracy(matcher, dataset.test)
@@ -102,11 +102,12 @@ def run_distance_feature_ablation(
             ("with-distance", True),
             ("paper-faithful", False),
         ):
-            matcher = MMAMatcher(
-                dataset.network, d0=scale.d_h, d2=scale.d_h,
-                ffn_hidden=4 * scale.d_h, node2vec_config=FAST_NODE2VEC,
-                use_distance_feature=use_distance, seed=scale.seed,
+            config = replace(
+                mma_config(scale),
+                ffn_hidden=4 * scale.d_h,
+                use_distance_feature=use_distance,
             )
+            matcher = MMAMatcher(dataset.network, config, seed=scale.seed)
             attach_planner_statistics(matcher, stats)
             fit_matcher(matcher, dataset, scale.matcher_epochs)
             row[label] = _point_accuracy(matcher, dataset.test)

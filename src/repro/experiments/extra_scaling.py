@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+from ..config import TRMMAConfig
 from ..data.simulate import SimulationConfig, simulate_trips
 from ..data.sparsify import sparsify_trips
 from ..matching import NearestMatcher
@@ -53,7 +54,8 @@ def run(grid_sides: Sequence[int] = GRID_SIDES, d_h: int = 32) -> Dict[str, Dict
         n_segments = network.n_segments
 
         trmma = TRMMARecoverer(
-            network, NearestMatcher(network), d_h=d_h, ffn_hidden=4 * d_h, seed=0
+            network, NearestMatcher(network),
+            TRMMAConfig(d_h=d_h, ffn_hidden=4 * d_h), seed=0,
         )
         mtraj = MTrajRecRecoverer(network, d_h=d_h, seed=0)
 
@@ -83,7 +85,8 @@ def run_training(
         n_segments = network.n_segments
 
         trmma = TRMMARecoverer(
-            network, NearestMatcher(network), d_h=d_h, ffn_hidden=4 * d_h, seed=0
+            network, NearestMatcher(network),
+            TRMMAConfig(d_h=d_h, ffn_hidden=4 * d_h), seed=0,
         )
         mtraj = MTrajRecRecoverer(network, d_h=d_h, seed=0)
 

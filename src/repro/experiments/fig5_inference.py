@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..eval.efficiency import (
-    recovery_inference_time,
-    recovery_inference_time_batched,
-    recovery_inference_time_engine,
-)
+from ..eval.efficiency import inference_time
 from ..telemetry import capture_stages, render_stage_table
 from ..utils.tables import render_metric_table
 from .common import (
@@ -40,16 +36,22 @@ def run(scale: ExperimentScale = BENCH) -> Dict[str, Dict[str, object]]:
     results: Dict[str, Dict[str, object]] = {}
     for name in scale.datasets:
         dataset = get_dataset(name, scale)
+        eps = dataset.epsilon
         recoverers = trained_recoverers(name, scale)
         times: Dict[str, object] = {
-            method: recovery_inference_time(rec, dataset)
+            method: inference_time(
+                lambda ts, m=rec: [m.recover(t, eps) for t in ts], dataset.test
+            )
             for method, rec in recoverers.items()
         }
         trmma = recoverers.get("TRMMA")
         if trmma is not None:
             with capture_stages() as capture:
-                times["TRMMA (batched)"] = recovery_inference_time_batched(
-                    trmma, dataset, batch_size=BENCH_BATCH_SIZE
+                times["TRMMA (batched)"] = inference_time(
+                    lambda ts: trmma.recover_many(
+                        ts, eps, batch_size=BENCH_BATCH_SIZE
+                    ),
+                    dataset.test,
                 )
             times[STAGES_KEY] = dict(capture.stages)
             times[STAGE_WINDOW_KEY] = capture.window_seconds
@@ -65,7 +67,9 @@ def run(scale: ExperimentScale = BENCH) -> Dict[str, Dict[str, object]]:
                 ) as engine:
                     engine.warm_up()
                     times[f"TRMMA (parallel x{engine.workers})"] = (
-                        recovery_inference_time_engine(engine, dataset)
+                        inference_time(
+                            lambda ts: engine.recover(ts, eps), dataset.test
+                        )
                     )
         results[name] = times
     return results

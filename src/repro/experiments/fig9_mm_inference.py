@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..eval.efficiency import (
-    matching_inference_time,
-    matching_inference_time_batched,
-    matching_inference_time_engine,
-)
+from ..eval.efficiency import inference_time
 from ..telemetry import capture_stages, render_stage_table
 from ..utils.tables import render_metric_table
 from .common import (
@@ -44,13 +40,17 @@ def run(scale: ExperimentScale = BENCH) -> Dict[str, Dict[str, object]]:
         dataset = get_dataset(name, scale)
         matchers = trained_matchers(name, scale)
         times: Dict[str, object] = {
-            method: matching_inference_time(matcher, dataset)
+            method: inference_time(
+                lambda ts, m=matcher: [m.match(t) for t in ts], dataset.test
+            )
             for method, matcher in matchers.items()
         }
         if "MMA" in matchers:
+            mma = matchers["MMA"]
             with capture_stages() as capture:
-                times["MMA (batched)"] = matching_inference_time_batched(
-                    matchers["MMA"], dataset, batch_size=BENCH_BATCH_SIZE
+                times["MMA (batched)"] = inference_time(
+                    lambda ts: mma.match_many(ts, batch_size=BENCH_BATCH_SIZE),
+                    dataset.test,
                 )
             times[STAGES_KEY] = dict(capture.stages)
             times[STAGE_WINDOW_KEY] = capture.window_seconds
@@ -58,12 +58,11 @@ def run(scale: ExperimentScale = BENCH) -> Dict[str, Dict[str, object]]:
                 from ..engine import ParallelEngine
 
                 with ParallelEngine(
-                    matchers["MMA"],
-                    config=engine_config(scale, BENCH_BATCH_SIZE),
+                    mma, config=engine_config(scale, BENCH_BATCH_SIZE)
                 ) as engine:
                     engine.warm_up()
                     times[f"MMA (parallel x{engine.workers})"] = (
-                        matching_inference_time_engine(engine, dataset)
+                        inference_time(engine.match, dataset.test)
                     )
         results[name] = times
     return results

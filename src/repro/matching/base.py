@@ -159,12 +159,22 @@ class MapMatcher:
 
     def matched_points(self, trajectory: Trajectory) -> List[MapMatchedPoint]:
         """Project every GPS point onto its matched segment (Def. 5)."""
-        segments = self.match_points(trajectory)
-        points = []
-        for p, edge_id in zip(trajectory, segments):
-            ratio = self.network.project_onto(edge_id, p.x, p.y)
-            points.append(MapMatchedPoint(edge_id=edge_id, ratio=ratio, t=p.t))
-        return points
+        return project_points(
+            self.network, trajectory, self.match_points(trajectory)
+        )
+
+
+def project_points(
+    network: RoadNetwork, trajectory: Trajectory, segments: Sequence[int]
+) -> List[MapMatchedPoint]:
+    """Each GPS point projected onto its segment (Def. 5; Algorithm 2,
+    lines 2-4)."""
+    return [
+        MapMatchedPoint(
+            edge_id=edge_id, ratio=network.project_onto(edge_id, p.x, p.y), t=p.t
+        )
+        for p, edge_id in zip(trajectory, segments)
+    ]
 
 
 def attach_planner_statistics(
@@ -232,9 +242,6 @@ def _reproject_onto_route(
     for i in range(n_points - 1, 0, -1):
         assignment[i - 1] = back[i, assignment[i]]
 
-    result: List[MapMatchedPoint] = []
-    for p, k in zip(trajectory, assignment):
-        edge_id = route[int(k)]
-        ratio = network.project_onto(edge_id, p.x, p.y)
-        result.append(MapMatchedPoint(edge_id=edge_id, ratio=ratio, t=p.t))
-    return result
+    return project_points(
+        network, trajectory, [route[k] for k in assignment.tolist()]
+    )

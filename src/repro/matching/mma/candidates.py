@@ -14,10 +14,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ...config import MMAConfig
 from ...data.trajectory import Trajectory, TrajectorySample
 from ...network.road_network import RoadNetwork
-
-DEFAULT_KC = 10
 
 
 def _pad_candidates(
@@ -37,32 +36,21 @@ def _pad_candidates(
     return hits
 
 
-def candidate_sets(
-    network: RoadNetwork, trajectory: Trajectory, k_c: int = DEFAULT_KC
-) -> List[List[Tuple[int, float]]]:
-    """Top-``k_c`` nearest segments (id, distance) for every GPS point.
-
-    When the network has fewer than ``k_c`` segments near the point the last
-    candidate is repeated so downstream tensors keep a fixed width.
-    """
-    return [
-        _pad_candidates(network.nearest_segments(p.x, p.y, k=k_c), k_c, i)
-        for i, p in enumerate(trajectory)
-    ]
-
-
 def candidate_sets_batch(
     network: RoadNetwork,
     trajectories: Sequence[Trajectory],
-    k_c: int = DEFAULT_KC,
+    k_c: int = MMAConfig.k_c,
 ) -> List[List[List[Tuple[int, float]]]]:
-    """Candidate sets for many trajectories via one bulk k-NN pass.
+    """Top-``k_c`` nearest segments (id, distance) for every GPS point of
+    every trajectory, via one bulk k-NN pass.
 
     Concatenates every GPS point across ``trajectories`` into a single
     ``(N, 2)`` query, answers it with
     :meth:`~repro.network.road_network.RoadNetwork.nearest_segments_batch`
     (bit-identical per-point results), then splits the answers back per
-    trajectory with the same padding as :func:`candidate_sets`.
+    trajectory.  When the network has fewer than ``k_c`` segments near a
+    point the last candidate is repeated so downstream tensors keep a fixed
+    width.
     """
     trajectories = list(trajectories)
     lengths = [len(t) for t in trajectories]

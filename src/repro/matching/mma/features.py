@@ -19,9 +19,8 @@ Per trajectory, MMA consumes:
 Encoding is fully vectorised: :meth:`MMAFeatureEncoder.encode_batch` builds
 the ``(N, k_c, F)`` feature tensor for *all* points of *all* trajectories in
 one NumPy pass over a single bulk k-NN query (no per-candidate Python loop).
-:meth:`MMAFeatureEncoder.encode` is the one-trajectory special case of the
-same kernel, and :meth:`MMAFeatureEncoder.encode_reference` keeps the
-original scalar loop as the oracle the parity tests compare against.
+One trajectory is a batch of one; the parity tests compare the kernel with a
+scalar per-candidate loop kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -31,11 +30,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ...config import MMAConfig
 from ...data.trajectory import Trajectory
-from ...geometry.segments import directional_features
 from ...network.road_network import RoadNetwork
 from ...telemetry import span
-from .candidates import DEFAULT_KC, candidate_sets, candidate_sets_batch
+from .candidates import candidate_sets_batch
 
 
 @dataclass
@@ -51,10 +50,6 @@ class EncodedTrajectory:
     def length(self) -> int:
         return self.point_features.shape[0]
 
-    @property
-    def k_c(self) -> int:
-        return self.candidate_ids.shape[1]
-
 
 @dataclass
 class EncodedBatch:
@@ -62,25 +57,13 @@ class EncodedBatch:
 
     Batches are built by *same-length bucketing*, never padding: padded
     reductions regroup floating-point sums and break the bit-exact parity
-    guarantee between the batched and per-sample model paths.
+    between a trajectory scored alone and scored in a bucket.
     """
 
     point_features: np.ndarray  # (b, l, 3)
     candidate_ids: np.ndarray  # (b, l, k_c) int
     candidate_directions: np.ndarray  # (b, l, k_c, F)
     candidate_distances: np.ndarray  # (b, l, k_c)
-
-    @property
-    def batch_size(self) -> int:
-        return self.point_features.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.point_features.shape[1]
-
-    @property
-    def k_c(self) -> int:
-        return self.candidate_ids.shape[2]
 
 
 def stack_encoded(encoded: Sequence[EncodedTrajectory]) -> EncodedBatch:
@@ -124,8 +107,8 @@ class MMAFeatureEncoder:
     def __init__(
         self,
         network: RoadNetwork,
-        k_c: int = DEFAULT_KC,
-        use_distance_feature: bool = True,
+        k_c: int = MMAConfig.k_c,
+        use_distance_feature: bool = MMAConfig.use_distance_feature,
     ) -> None:
         self.network = network
         self.k_c = k_c
@@ -151,9 +134,6 @@ class MMAFeatureEncoder:
             for p in trajectory
         ]
         return np.asarray(rows)
-
-    def encode(self, trajectory: Trajectory) -> EncodedTrajectory:
-        return self.encode_batch([trajectory])[0]
 
     def encode_batch(
         self, trajectories: Sequence[Trajectory]
@@ -228,37 +208,6 @@ class MMAFeatureEncoder:
             )
             offset += n
         return out
-
-    def encode_reference(self, trajectory: Trajectory) -> EncodedTrajectory:
-        """Original scalar encoding loop, kept as the parity-test oracle.
-
-        Candidate selection is bit-identical to :meth:`encode`; the cosine
-        features may differ by an ulp (``math.hypot`` vs ``np.hypot``).
-        """
-        sets = candidate_sets(self.network, trajectory, self.k_c)
-        length = len(trajectory)
-        ids = np.zeros((length, self.k_c), dtype=np.int64)
-        dirs = np.zeros((length, self.k_c, self.n_geometric_features))
-        dists = np.zeros((length, self.k_c))
-        for i, hits in enumerate(sets):
-            p = trajectory[i]
-            prev_xy = trajectory[i - 1].xy if i > 0 else None
-            next_xy = trajectory[i + 1].xy if i + 1 < length else None
-            for j, (edge_id, distance) in enumerate(hits):
-                ids[i, j] = edge_id
-                dists[i, j] = distance
-                geom = self.network.geometry(edge_id)
-                cos = directional_features(geom, p.xy, prev_xy, next_xy)
-                if self.use_distance_feature:
-                    dirs[i, j] = (*cos, distance / DISTANCE_SCALE_M)
-                else:
-                    dirs[i, j] = cos
-        return EncodedTrajectory(
-            point_features=self.normalise_points(trajectory),
-            candidate_ids=ids,
-            candidate_directions=dirs,
-            candidate_distances=dists,
-        )
 
     def labels(
         self, encoded: EncodedTrajectory, gt_segments: Sequence[int]

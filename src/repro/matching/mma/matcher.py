@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ...config import MMAConfig
 from ...data.trajectory import Trajectory
 from ...network.node2vec import Node2VecConfig, train_node2vec
@@ -21,7 +19,6 @@ from ...nn import Adam, bce_with_logits
 from ...utils.rng import SeedLike, make_rng
 from ..base import MapMatcher
 from ...nn.tensor import no_grad
-from .candidates import DEFAULT_KC
 from .features import MMAFeatureEncoder, stack_encoded
 from .model import MMAModel
 
@@ -49,80 +46,37 @@ class MMAMatcher(MapMatcher):
     def __init__(
         self,
         network: RoadNetwork,
+        config: MMAConfig = MMAConfig(),
         planner: Optional[DARoutePlanner] = None,
-        k_c: int = DEFAULT_KC,
-        d0: int = 64,
-        d2: int = 64,
-        ffn_hidden: int = 512,
-        lr: float = 1e-3,
-        use_node2vec: bool = True,
-        use_context: bool = True,
-        use_directional: bool = True,
-        use_distance_feature: bool = True,
-        node2vec_config: Optional[Node2VecConfig] = None,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(network, planner)
-        #: The validated hyperparameter record equivalent to this instance;
-        #: the Pipeline facade and the parallel engine rebuild matchers
-        #: from it (see :meth:`from_config`).
-        self.config = MMAConfig(
-            k_c=k_c,
-            d0=d0,
-            d2=d2,
-            ffn_hidden=ffn_hidden,
-            lr=lr,
-            use_node2vec=use_node2vec,
-            use_context=use_context,
-            use_directional=use_directional,
-            use_distance_feature=use_distance_feature,
-            node2vec=node2vec_config,
-        )
+        #: The validated hyperparameter record of this instance; the
+        #: parallel engine rebuilds matchers from it (see
+        #: :meth:`rebuild_config`).
+        self.config = config
         rng = make_rng(seed)
         self.encoder = MMAFeatureEncoder(
-            network, k_c=k_c, use_distance_feature=use_distance_feature
+            network,
+            k_c=config.k_c,
+            use_distance_feature=config.use_distance_feature,
         )
         pretrained = None
-        if use_node2vec:
-            config = node2vec_config or Node2VecConfig(dimensions=d0)
-            pretrained = train_node2vec(network, config, seed=rng)
+        if config.use_node2vec:
+            node2vec = config.node2vec or Node2VecConfig(dimensions=config.d0)
+            pretrained = train_node2vec(network, node2vec, seed=rng)
         self.model = MMAModel(
             network.n_segments,
-            d0=d0,
-            d2=d2,
-            ffn_hidden=ffn_hidden,
-            n_geometric_features=self.encoder.n_geometric_features,
-            pretrained_segment_embeddings=pretrained,
-            use_context=use_context,
-            use_directional=use_directional,
-            seed=rng,
-        )
-        self.optimizer = Adam(self.model.parameters(), lr=lr)
-
-    @classmethod
-    def from_config(
-        cls,
-        network: RoadNetwork,
-        config: MMAConfig,
-        planner: Optional[DARoutePlanner] = None,
-        seed: SeedLike = None,
-    ) -> "MMAMatcher":
-        """Build a matcher from its :class:`~repro.config.MMAConfig`."""
-        return cls(
-            network,
-            planner=planner,
-            k_c=config.k_c,
             d0=config.d0,
             d2=config.d2,
             ffn_hidden=config.ffn_hidden,
-            lr=config.lr,
-            use_node2vec=config.use_node2vec,
             use_context=config.use_context,
             use_directional=config.use_directional,
-            use_distance_feature=config.use_distance_feature,
-            node2vec_config=config.node2vec,
-            seed=seed,
+            n_geometric_features=self.encoder.n_geometric_features,
+            pretrained_segment_embeddings=pretrained,
+            seed=rng,
         )
+        self.optimizer = Adam(self.model.parameters(), lr=config.lr)
 
     def rebuild_config(self) -> MMAConfig:
         """Config that reconstructs this matcher's *architecture* exactly
@@ -144,81 +98,46 @@ class MMAMatcher(MapMatcher):
 
     # ---------------------------------------------------------------- training
 
-    def fit_epoch(self, dataset, batch_size: int = 1) -> float:
+    def fit_epoch(self, dataset) -> float:
         """One epoch of Eq. 10 over the training split; returns mean loss.
 
-        With ``batch_size=1`` (default) this is classic per-sample SGD, one
-        Adam step per trajectory.  With ``batch_size>1`` same-length buckets
-        are stacked and each chunk takes a single Adam step over the batched
-        forward pass (mini-batch SGD): fewer, larger steps whose per-chunk
-        loss is the mean over the chunk's samples.
+        Per-sample SGD in dataset order: each trajectory is encoded and
+        scored as a batch of one, then takes one Adam step.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.model.train()
-        if batch_size == 1:
-            total, count = 0.0, 0
-            for sample in dataset.train:
-                encoded = self.encoder.encode(sample.sparse)
-                labels = self.encoder.labels(encoded, sample.gt_segments)
-                logits = self.model(encoded)
-                loss = bce_with_logits(logits, labels)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                total += loss.item()
-                count += 1
-            return total / max(count, 1)
-
-        samples = list(dataset.train)
-        encoded = self.encoder.encode_batch([s.sparse for s in samples])
-        labels = [
-            self.encoder.labels(e, s.gt_segments)
-            for e, s in zip(encoded, samples)
-        ]
         total, count = 0.0, 0
-        for indices in _length_buckets([e.length for e in encoded]):
-            for start in range(0, len(indices), batch_size):
-                chunk = indices[start : start + batch_size]
-                batch = stack_encoded([encoded[i] for i in chunk])
-                y = np.stack([labels[i] for i in chunk])
-                logits = self.model.forward_batch(batch)
-                loss = bce_with_logits(logits, y)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                total += loss.item() * len(chunk)
-                count += len(chunk)
+        for sample in dataset.train:
+            (encoded,) = self.encoder.encode_batch([sample.sparse])
+            labels = self.encoder.labels(encoded, sample.gt_segments)
+            logits = self.model(stack_encoded([encoded]))
+            loss = bce_with_logits(logits, labels[None])
+            self.optimizer.zero_grad()
+            loss.backward()
+            self.optimizer.step()
+            total += loss.item()
+            count += 1
         return total / max(count, 1)
 
-    def fit(self, dataset, epochs: int = 5, batch_size: int = 1) -> "MMAMatcher":
+    def fit(self, dataset, epochs: int = 5) -> "MMAMatcher":
         for _ in range(epochs):
-            self.fit_epoch(dataset, batch_size=batch_size)
+            self.fit_epoch(dataset)
         return self
-
-    def validation_accuracy(self, dataset) -> float:
-        """Fraction of validation GPS points matched to their true segment."""
-        return self.validation_point_accuracy(dataset)
 
     # --------------------------------------------------------------- matching
 
     def match_points(self, trajectory: Trajectory) -> List[int]:
-        self.model.eval()
-        encoded = self.encoder.encode(trajectory)
-        with no_grad():
-            return [int(e) for e in self.model.predict_segments(encoded)]
+        return self.match_points_many([trajectory])[0]
 
     def match_points_many(
         self, trajectories: Sequence[Trajectory], batch_size: int = 32
     ) -> List[List[int]]:
-        """Batched form of :meth:`match_points`: one bulk feature encoding,
-        then one model forward per same-length chunk of at most
+        """Algorithm 1 lines 1-9 for many trajectories: one bulk feature
+        encoding, then one model forward per same-length chunk of at most
         ``batch_size`` trajectories and :data:`MAX_POINTS_PER_FORWARD`
         points (a trajectory longer than that is a chunk of its own).
 
-        Matches are bit-identical to per-trajectory :meth:`match_points`
-        calls — batching only removes per-sample overhead (see
-        :meth:`MMAModel.forward_batch`).
+        A trajectory's matches do not depend on its chunk: batching only
+        removes per-sample overhead (see :meth:`MMAModel.forward`).
         """
         self.model.eval()
         trajectories = list(trajectories)

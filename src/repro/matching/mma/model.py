@@ -37,7 +37,7 @@ from ...nn import (
 )
 from ...telemetry import span
 from ...utils.rng import SeedLike, make_rng
-from .features import EncodedBatch, EncodedTrajectory
+from .features import EncodedBatch
 
 
 class MMAModel(Module):
@@ -46,17 +46,18 @@ class MMAModel(Module):
     def __init__(
         self,
         n_segments: int,
-        d0: int = 64,
+        *,
+        d0: int,
+        d2: int,
+        ffn_hidden: int,
+        use_context: bool,
+        use_directional: bool,
         d1: int = 128,
-        d2: int = 64,
         d3: int = 256,
         n_transformer_layers: int = 2,
         n_heads: int = 4,
-        ffn_hidden: int = 512,
         n_geometric_features: int = 5,
         pretrained_segment_embeddings: Optional[np.ndarray] = None,
-        use_context: bool = True,
-        use_directional: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -87,90 +88,37 @@ class MMAModel(Module):
         self.attention_mlp = MLP(2 * d2, d3, 1, seed=rng)
         self.d2 = d2
 
-    def candidate_embeddings(self, encoded: EncodedTrajectory) -> Tensor:
-        """Candidate embeddings ``c_j`` of shape (l, k_c, d2)."""
-        l, k = encoded.candidate_ids.shape
-        flat_ids = encoded.candidate_ids.reshape(-1)
-        seg = self.segment_embedding(flat_ids)  # (l*k, d0)
-        directions = encoded.candidate_directions.reshape(
-            l * k, self.n_geometric_features
-        )
-        if not self.use_directional:
-            # TRMMA-DI ablation: drop the four cosine features (keep the
-            # distance column — it is a scale adaptation, not paper design).
-            directions = directions.copy()
-            directions[:, :4] = 0.0
-        z = concat([seg, Tensor(directions)], axis=-1)
-        c = self.candidate_mlp(z)  # (l*k, d2)
-        return c.reshape(l, k, self.d2)
+    # A trajectory is a batch of one.  Larger batches stack a same-length
+    # bucket along the leading axis and run every layer once over the stack.
+    # Each matmul then sees per-slice operands of exactly the shapes a batch
+    # of one uses (batched N-D matmul evaluates per slice), and all
+    # reductions keep their per-trajectory extents, so the logits of a row
+    # are bit-identical whatever the bucket holds.
 
-    def point_embeddings(
-        self, encoded: EncodedTrajectory, candidates: Tensor
-    ) -> Tensor:
-        """Point embeddings ``p_i`` of shape (l, d2) (Eq. 3, 7, 8)."""
-        l, k = encoded.candidate_ids.shape
-        z1 = self.point_fc(Tensor(encoded.point_features))  # (l, d2)
-        z2 = self.transformer(z1)  # (l, d2)
-        if not self.use_context:
-            return z2
-        # Attention of each candidate to its point (Eq. 7).
-        z2_tiled = z2.reshape(l, 1, self.d2) * Tensor(np.ones((1, k, 1)))
-        pair = concat([z2_tiled, candidates], axis=-1)  # (l, k, 2*d2)
-        scores = self.attention_mlp(pair.reshape(l * k, 2 * self.d2))
-        alpha = softmax(scores.reshape(l, k, 1), axis=1)
-        context = (alpha * candidates).sum(axis=1)  # (l, d2)
-        return z2 + context  # Eq. 8
-
-    def forward(self, encoded: EncodedTrajectory) -> Tensor:
-        """Per-candidate logits of shape (l, k_c); sigmoid gives Eq. 9.
-
-        Telemetry: recorded as a ``model`` span per call."""
-        with span("model"):
-            candidates = self.candidate_embeddings(encoded)
-            points = self.point_embeddings(encoded, candidates)
-            l, k = encoded.candidate_ids.shape
-            points_tiled = points.reshape(l, 1, self.d2)
-            return (candidates * points_tiled).sum(axis=-1)  # (l, k)
-
-    def predict_segments(self, encoded: EncodedTrajectory) -> np.ndarray:
-        """Matched segment id per point: argmax_{c in C} P(c | p) (line 9)."""
-        logits = self.forward(encoded).data
-        best = logits.argmax(axis=1)
-        return encoded.candidate_ids[np.arange(len(best)), best]
-
-    # ------------------------------------------------------- batched forward
-    #
-    # The batched path stacks a same-length bucket of trajectories along a
-    # leading batch axis and runs every layer once over the stack.  Each
-    # matmul then sees per-slice operands of exactly the shapes the
-    # per-sample path uses (batched N-D matmul evaluates per slice), and all
-    # reductions keep their per-sample extents — so the logits are
-    # *bit-identical* to running ``forward`` per trajectory, only with the
-    # Python/layer overhead paid once per bucket instead of once per sample.
-
-    def candidate_embeddings_batch(self, batch: EncodedBatch) -> Tensor:
-        """Candidate embeddings ``c_j`` of shape (b, l, k_c, d2)."""
+    def candidate_embeddings(self, batch: EncodedBatch) -> Tensor:
+        """Candidate embeddings ``c_j`` of shape (b, l, k_c, d2) (Eq. 1-2)."""
         b, l, k = batch.candidate_ids.shape
         seg = self.segment_embedding(batch.candidate_ids.reshape(b, l * k))
         directions = batch.candidate_directions.reshape(
             b, l * k, self.n_geometric_features
         )
         if not self.use_directional:
+            # TRMMA-DI ablation: drop the four cosine features (keep the
+            # distance column — it is a scale adaptation, not paper design).
             directions = directions.copy()
             directions[:, :, :4] = 0.0
         z = concat([seg, Tensor(directions)], axis=-1)
         c = self.candidate_mlp(z)  # (b, l*k, d2)
         return c.reshape(b, l, k, self.d2)
 
-    def point_embeddings_batch(
-        self, batch: EncodedBatch, candidates: Tensor
-    ) -> Tensor:
+    def point_embeddings(self, batch: EncodedBatch, candidates: Tensor) -> Tensor:
         """Point embeddings ``p_i`` of shape (b, l, d2) (Eq. 3, 7, 8)."""
         b, l, k = batch.candidate_ids.shape
         z1 = self.point_fc(Tensor(batch.point_features))  # (b, l, d2)
         z2 = self.transformer(z1)  # (b, l, d2)
         if not self.use_context:
             return z2
+        # Attention of each candidate to its point (Eq. 7).
         z2_tiled = z2.reshape(b, l, 1, self.d2) * Tensor(np.ones((1, 1, k, 1)))
         pair = concat([z2_tiled, candidates], axis=-1)  # (b, l, k, 2*d2)
         scores = self.attention_mlp(pair.reshape(b, l * k, 2 * self.d2))
@@ -178,21 +126,21 @@ class MMAModel(Module):
         context = (alpha * candidates).sum(axis=2)  # (b, l, d2)
         return z2 + context  # Eq. 8
 
-    def forward_batch(self, batch: EncodedBatch) -> Tensor:
-        """Per-candidate logits of shape (b, l, k_c) for a same-length
-        bucket; bit-identical to per-sample :meth:`forward` calls.
+    def forward(self, batch: EncodedBatch) -> Tensor:
+        """Per-candidate logits of shape (b, l, k_c); sigmoid gives Eq. 9.
 
-        Telemetry: recorded as a ``model`` span per bucket."""
+        Telemetry: recorded as a ``model`` span per call."""
         with span("model"):
-            candidates = self.candidate_embeddings_batch(batch)
-            points = self.point_embeddings_batch(batch, candidates)
+            candidates = self.candidate_embeddings(batch)
+            points = self.point_embeddings(batch, candidates)
             b, l, k = batch.candidate_ids.shape
             points_tiled = points.reshape(b, l, 1, self.d2)
             return (candidates * points_tiled).sum(axis=-1)  # (b, l, k)
 
     def predict_segments_batch(self, batch: EncodedBatch) -> np.ndarray:
-        """Matched segment ids of shape (b, l) for a same-length bucket."""
-        logits = self.forward_batch(batch).data
+        """Matched segment ids of shape (b, l): argmax_{c in C} P(c | p)
+        (Algorithm 1, line 9)."""
+        logits = self.forward(batch).data
         best = logits.argmax(axis=2)
         return np.take_along_axis(batch.candidate_ids, best[..., None], axis=2)[
             ..., 0

@@ -32,9 +32,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` over the axes that were broadcast to reach ``grad.shape``."""
     if grad.shape == shape:
         return grad
-    # Sum leading axes added by broadcasting.
+    # Sum leading axes added by broadcasting.  A unit axis is indexed away
+    # rather than summed (the sum would only turn -0.0 into +0.0, as
+    # accumulating into the gradient does anyway), so a batch-of-one
+    # backward costs what a 2-D one does.
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = grad[0] if grad.shape[0] == 1 else grad.sum(axis=0)
     # Sum axes that were size-1 in the original shape.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
@@ -255,7 +258,12 @@ class Tensor:
                 grad_a = g @ np.swapaxes(b, -1, -2)
                 self._accumulate(_unbroadcast(grad_a, self.shape))
             if other.requires_grad:
-                grad_b = np.swapaxes(a, -1, -2) @ g
+                if a.ndim == 3 and a.shape[0] == 1 and b.ndim == 2:
+                    # A batch of one: the 2-D product, without numpy's
+                    # stacked-matmul overhead.
+                    grad_b = a[0].T @ g[0]
+                else:
+                    grad_b = np.swapaxes(a, -1, -2) @ g
                 other._accumulate(_unbroadcast(grad_b, other.shape))
 
         if out.requires_grad:

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...config import MMAConfig, TRMMAConfig
 from ...matching import (
     FMMMatcher,
+    MapMatcher,
     MMAMatcher,
     NearestMatcher,
     attach_planner_statistics,
@@ -34,28 +36,16 @@ FAST_NODE2VEC = Node2VecConfig(
     dimensions=32, walk_length=12, walks_per_node=2, window=3, negatives=3, epochs=1
 )
 
-
-def _mma(
-    network: RoadNetwork,
-    statistics: Optional[TransitionStatistics],
-    seed: SeedLike,
-    use_context: bool = True,
-    use_directional: bool = True,
-    d0: int = 32,
-    d2: int = 32,
-) -> MMAMatcher:
-    matcher = MMAMatcher(
-        network,
-        d0=d0,
-        d2=d2,
-        node2vec_config=FAST_NODE2VEC,
-        use_context=use_context,
-        use_directional=use_directional,
-        seed=seed,
-    )
-    if statistics is not None:
-        attach_planner_statistics(matcher, statistics)
-    return matcher
+ABLATION_VARIANTS = (
+    "TRMMA",
+    "TRMMA-HMM",
+    "TRMMA-Near",
+    "MMA+linear",
+    "Nearest+linear",
+    "TRMMA-DF",
+    "TRMMA-C",
+    "TRMMA-DI",
+)
 
 
 def make_trmma(
@@ -68,53 +58,30 @@ def make_trmma(
     seed: SeedLike = 7,
 ):
     """Build TRMMA or one of its ablations by variant name."""
-    if variant == "TRMMA":
-        matcher = _mma(network, statistics, seed)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, seed=seed, name="TRMMA")
+    if variant not in ABLATION_VARIANTS:
+        raise KeyError(f"unknown TRMMA variant {variant!r}")
+    matcher: MapMatcher
     if variant == "TRMMA-HMM":
         matcher = FMMMatcher(network)
-        if statistics is not None:
-            attach_planner_statistics(matcher, statistics)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, seed=seed, name="TRMMA-HMM")
-    if variant == "TRMMA-Near":
+    elif variant in ("TRMMA-Near", "Nearest+linear"):
         matcher = NearestMatcher(network)
-        if statistics is not None:
-            attach_planner_statistics(matcher, statistics)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, seed=seed, name="TRMMA-Near")
-    if variant == "TRMMA-DF":
-        matcher = _mma(network, statistics, seed)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, use_fusion=False, seed=seed,
-                              name="TRMMA-DF")
-    if variant == "TRMMA-C":
-        matcher = _mma(network, statistics, seed, use_context=False)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, seed=seed, name="TRMMA-C")
-    if variant == "TRMMA-DI":
-        matcher = _mma(network, statistics, seed, use_directional=False)
-        return TRMMARecoverer(network, matcher, d_h=d_h, n_layers=n_layers,
-                              ffn_hidden=ffn_hidden, seed=seed, name="TRMMA-DI")
-    if variant == "MMA+linear":
-        matcher = _mma(network, statistics, seed)
-        return LinearInterpolationRecoverer(network, matcher, name="MMA+linear")
-    if variant == "Nearest+linear":
-        matcher = NearestMatcher(network)
-        if statistics is not None:
-            attach_planner_statistics(matcher, statistics)
-        return LinearInterpolationRecoverer(network, matcher, name="Nearest+linear")
-    raise KeyError(f"unknown TRMMA variant {variant!r}")
-
-
-ABLATION_VARIANTS = (
-    "TRMMA",
-    "TRMMA-HMM",
-    "TRMMA-Near",
-    "MMA+linear",
-    "Nearest+linear",
-    "TRMMA-DF",
-    "TRMMA-C",
-    "TRMMA-DI",
-)
+    else:
+        config = MMAConfig(
+            d0=32,
+            d2=32,
+            node2vec=FAST_NODE2VEC,
+            use_context=variant != "TRMMA-C",
+            use_directional=variant != "TRMMA-DI",
+        )
+        matcher = MMAMatcher(network, config, seed=seed)
+    if statistics is not None:
+        attach_planner_statistics(matcher, statistics)
+    if variant.endswith("+linear"):
+        return LinearInterpolationRecoverer(network, matcher, name=variant)
+    trmma_config = TRMMAConfig(
+        d_h=d_h,
+        n_layers=n_layers,
+        ffn_hidden=ffn_hidden,
+        use_fusion=variant != "TRMMA-DF",
+    )
+    return TRMMARecoverer(network, matcher, trmma_config, seed=seed, name=variant)

@@ -130,12 +130,13 @@ class TRMMAModel(Module):
     def __init__(
         self,
         n_segments: int,
-        d_h: int = 64,
-        n_layers: int = 2,
-        n_heads: int = 4,
-        ffn_hidden: int = 512,
-        ratio_weight: float = 5.0,
-        use_fusion: bool = True,
+        *,
+        d_h: int,
+        n_layers: int,
+        n_heads: int,
+        ffn_hidden: int,
+        ratio_weight: float,
+        use_fusion: bool,
         use_prior: bool = True,
         seed: SeedLike = None,
     ) -> None:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 from ...config import TRMMAConfig
 from ...data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
-from ...matching.base import MapMatcher
+from ...matching.base import MapMatcher, project_points
 from ...network.road_network import RoadNetwork
 from ...nn import Adam
 from ...telemetry import span
@@ -36,13 +36,7 @@ class TRMMARecoverer(TrajectoryRecoverer):
         self,
         network: RoadNetwork,
         matcher: MapMatcher,
-        d_h: int = 64,
-        n_layers: int = 2,
-        n_heads: int = 4,
-        ffn_hidden: int = 512,
-        ratio_weight: float = 5.0,
-        use_fusion: bool = True,
-        lr: float = 1e-3,
+        config: TRMMAConfig = TRMMAConfig(),
         seed: SeedLike = None,
         name: Optional[str] = None,
     ) -> None:
@@ -50,85 +44,42 @@ class TRMMARecoverer(TrajectoryRecoverer):
         if name:
             self.name = name
         self.matcher = matcher
-        #: Validated hyperparameter record equivalent to this instance; the
-        #: Pipeline facade and the parallel engine rebuild recoverers from
-        #: it (see :meth:`from_config`).
-        self.config = TRMMAConfig(
-            d_h=d_h,
-            n_layers=n_layers,
-            n_heads=n_heads,
-            ffn_hidden=ffn_hidden,
-            ratio_weight=ratio_weight,
-            use_fusion=use_fusion,
-            lr=lr,
-        )
-        rng = make_rng(seed)
+        #: The validated hyperparameter record of this instance; the
+        #: parallel engine rebuilds recoverers from it.
+        self.config = config
         self.model = TRMMAModel(
             network.n_segments,
-            d_h=d_h,
-            n_layers=n_layers,
-            n_heads=n_heads,
-            ffn_hidden=ffn_hidden,
-            ratio_weight=ratio_weight,
-            use_fusion=use_fusion,
-            seed=rng,
-        )
-        self.optimizer = Adam(self.model.parameters(), lr=lr)
-
-    @classmethod
-    def from_config(
-        cls,
-        network: RoadNetwork,
-        matcher: MapMatcher,
-        config: TRMMAConfig,
-        seed: SeedLike = None,
-        name: Optional[str] = None,
-    ) -> "TRMMARecoverer":
-        """Build a recoverer from its :class:`~repro.config.TRMMAConfig`."""
-        return cls(
-            network,
-            matcher,
             d_h=config.d_h,
             n_layers=config.n_layers,
             n_heads=config.n_heads,
             ffn_hidden=config.ffn_hidden,
             ratio_weight=config.ratio_weight,
             use_fusion=config.use_fusion,
-            lr=config.lr,
-            seed=seed,
-            name=name,
+            seed=make_rng(seed),
         )
+        self.optimizer = Adam(self.model.parameters(), lr=config.lr)
 
     # ---------------------------------------------------------------- training
 
-    def fit_epoch(self, dataset, batch_size: int = 1) -> float:
-        """One teacher-forced epoch of Eq. 21 over the training split.
+    def fit_epoch(self, dataset) -> float:
+        """One teacher-forced epoch of Eq. 21 over the training split, one
+        Adam step per sample.
 
-        Samples are taken in chunks of ``batch_size`` (default 1): each
-        loss is scaled by ``1/len(chunk)`` and the gradients accumulate over
-        the chunk before a single Adam step, so ``batch_size=1`` is one step
-        per sample.  Within a sample the loss is already batched: every
-        missing point's heads run in one stacked decoder call
-        (:meth:`TRMMAModel.training_loss`).  Samples without missing points
-        contribute a zero loss and no gradient.
+        Within a sample the loss is batched: every missing point's heads run
+        in one stacked decoder call (:meth:`TRMMAModel.training_loss`).
+        Samples without missing points contribute a zero loss and take no
+        step.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.model.train()
         samples = list(dataset.train)
         total = 0.0
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start : start + batch_size]
-            self.optimizer.zero_grad()
-            stepped = False
-            for sample in chunk:
-                loss = self.model.training_loss(build_example(self.network, sample))
-                if loss.item() > 0.0:
-                    (loss * (1.0 / len(chunk))).backward()
-                    stepped = True
-                total += loss.item()
-            if stepped:
+        for sample in samples:
+            loss = self.model.training_loss(build_example(self.network, sample))
+            if loss.item() > 0.0:
+                self.optimizer.zero_grad()
+                loss.backward()
                 self.optimizer.step()
+            total += loss.item()
         return total / max(len(samples), 1)
 
     def fit(
@@ -136,14 +87,13 @@ class TRMMARecoverer(TrajectoryRecoverer):
         dataset,
         epochs: int = 5,
         matcher_epochs: Optional[int] = None,
-        batch_size: int = 1,
     ) -> "TRMMARecoverer":
         """Train the matcher (if trainable), then the recovery model."""
         if self.matcher.requires_training:
             for _ in range(matcher_epochs if matcher_epochs is not None else epochs):
                 self.matcher.fit_epoch(dataset)
         for _ in range(epochs):
-            self.fit_epoch(dataset, batch_size=batch_size)
+            self.fit_epoch(dataset)
         return self
 
     def validation_loss(self, dataset) -> float:
@@ -159,16 +109,7 @@ class TRMMARecoverer(TrajectoryRecoverer):
     # --------------------------------------------------------------- inference
 
     def recover(self, trajectory: Trajectory, epsilon: float) -> MatchedTrajectory:
-        from ...matching.base import reproject_onto_route
-
-        observed = self.matcher.matched_points(trajectory)
-        route = self.matcher.stitch([a.edge_id for a in observed])
-        observed = reproject_onto_route(self.network, trajectory, observed, route)
-        with no_grad(), span("decode"):
-            (recovered,) = self.model.decode(
-                self.network, [trajectory], [observed], [route], epsilon
-            )
-        return recovered
+        return self.recover_many([trajectory], epsilon)[0]
 
     def recover_many(
         self,
@@ -214,14 +155,7 @@ class TRMMARecoverer(TrajectoryRecoverer):
         routes: List[List[int]] = []
         all_observed: List[List[MapMatchedPoint]] = []
         for trajectory, segments in zip(trajectories, all_segments):
-            observed = [
-                MapMatchedPoint(
-                    edge_id=edge_id,
-                    ratio=self.network.project_onto(edge_id, p.x, p.y),
-                    t=p.t,
-                )
-                for p, edge_id in zip(trajectory, segments)
-            ]
+            observed = project_points(self.network, trajectory, segments)
             route = self.matcher.stitch(segments)
             all_observed.append(
                 reproject_onto_route(self.network, trajectory, observed, route)

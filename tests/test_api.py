@@ -103,11 +103,9 @@ def test_trmma_none_skips_recoverer(dataset):
 
 def test_pipeline_matches_direct_construction(dataset, config, fitted_pipeline):
     """Same config + seed by hand ⇒ bit-identical outputs."""
-    matcher = MMAMatcher.from_config(
-        dataset.network, config.mma, seed=config.seed
-    )
+    matcher = MMAMatcher(dataset.network, config.mma, seed=config.seed)
     attach_planner_statistics(matcher, dataset.transition_statistics())
-    recoverer = TRMMARecoverer.from_config(
+    recoverer = TRMMARecoverer(
         dataset.network, matcher, config.trmma, seed=config.seed
     )
     recoverer.fit(dataset, epochs=1, matcher_epochs=1)
@@ -148,8 +146,9 @@ def test_non_finite_point_is_a_typed_error(dataset, fitted_pipeline, field, valu
 
 def test_from_components_rejects_foreign_matcher(dataset, fitted_pipeline):
     other = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=TINY_N2V, seed=1,
+        dataset.network,
+        MMAConfig(d0=16, d2=16, ffn_hidden=32, node2vec=TINY_N2V),
+        seed=1,
     )
     with pytest.raises(ValueError, match="same object"):
         Pipeline.from_components(other, fitted_pipeline.recoverer)

@@ -1,10 +1,11 @@
-"""Parity tests for the batched inference/training engine.
+"""Parity tests for the batch-first inference/training paths.
 
 Every batched path (bulk k-NN, vectorised candidate sets and feature
-encoding, stacked model forward, batched matching/recovery) must return
-exactly what the per-sample path returns — batching is a pure perf
-optimisation, never a semantic change.  Plus unit tests for the LRU caches
-backing route memoisation.
+encoding, stacked model forward, batched matching/recovery, training) must
+return exactly what a per-sample oracle returns — batching is a pure perf
+optimisation, never a semantic change.  The MMA oracles live in
+``tests/mma_oracles.py``, the decode oracle in this file.  Plus unit tests
+for the LRU caches backing route memoisation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import TRMMAConfig
+from repro.config import MMAConfig, TRMMAConfig
 from repro.data.datasets import build_dataset
 from repro.data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
 from repro.matching import FMMMatcher
 from repro.matching.base import reproject_onto_route
-from repro.matching.mma.candidates import candidate_sets, candidate_sets_batch
+from repro.matching.mma.candidates import candidate_sets_batch
 from repro.matching.mma.features import MMAFeatureEncoder, stack_encoded
 from repro.matching.mma.matcher import (
     MAX_POINTS_PER_FORWARD,
@@ -30,6 +31,7 @@ from repro.matching.mma.matcher import (
 from repro.network.cache import LRUCache
 from repro.network.node2vec import Node2VecConfig
 from repro.network.routing import DARoutePlanner
+from repro.nn import bce_with_logits
 from repro.nn.tensor import Tensor, concat, no_grad, softmax
 from repro.recovery.base import missing_point_counts
 from repro.recovery.route_utils import (
@@ -41,10 +43,14 @@ from repro.recovery.trmma.recoverer import TRMMARecoverer
 from repro.spatial.grid import UniformGrid
 from repro.spatial.rtree import STRtree
 
+from . import mma_oracles as oracle
+
 TINY_N2V = Node2VecConfig(
     dimensions=16, walk_length=8, walks_per_node=2, window=3, negatives=2,
     epochs=1,
 )
+TINY_MMA = MMAConfig(d0=16, d2=16, ffn_hidden=32, node2vec=TINY_N2V)
+TINY_TRMMA = TRMMAConfig(d_h=16, ffn_hidden=32)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +60,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def trained_matcher(dataset):
-    matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=TINY_N2V, seed=5,
-    )
+    matcher = MMAMatcher(dataset.network, TINY_MMA, seed=5)
     matcher.fit_epoch(dataset)
     return matcher
 
@@ -129,12 +132,13 @@ def test_candidate_sets_batch_matches_sequential(dataset):
     trajectories = [s.sparse for s in dataset.test]
     batch = candidate_sets_batch(dataset.network, trajectories, 10)
     for trajectory, sets in zip(trajectories, batch):
-        assert sets == candidate_sets(dataset.network, trajectory, 10)
+        assert sets == oracle.candidate_sets(dataset.network, trajectory, 10)
 
 
 def test_candidate_sets_pads_to_kc(square_network, dataset):
     trajectory = dataset.test[0].sparse
-    sets = candidate_sets(square_network, trajectory, k_c=20)
+    (sets,) = candidate_sets_batch(square_network, [trajectory], k_c=20)
+    assert sets == oracle.candidate_sets(square_network, trajectory, 20)
     for hits in sets:
         assert len(hits) == 20
         # 8 real segments, then the last candidate repeated.
@@ -147,16 +151,14 @@ def test_empty_network_error_names_point_index(dataset):
     empty = RoadNetwork(np.array([[0.0, 0.0], [1.0, 1.0]]), [])
     trajectory = dataset.test[0].sparse
     with pytest.raises(RuntimeError, match="GPS point 0"):
-        candidate_sets(empty, trajectory, 10)
-    with pytest.raises(RuntimeError, match="GPS point 0"):
         candidate_sets_batch(empty, [trajectory], 10)
 
 
 def test_encode_matches_reference(dataset):
     encoder = MMAFeatureEncoder(dataset.network, k_c=10)
     for sample in dataset.test[:4]:
-        fast = encoder.encode(sample.sparse)
-        ref = encoder.encode_reference(sample.sparse)
+        (fast,) = encoder.encode_batch([sample.sparse])
+        ref = oracle.encode_reference(encoder, sample.sparse)
         assert (fast.candidate_ids == ref.candidate_ids).all()
         assert (fast.candidate_distances == ref.candidate_distances).all()
         assert (fast.point_features == ref.point_features).all()
@@ -172,7 +174,7 @@ def test_encode_batch_matches_encode(dataset):
     trajectories = [s.sparse for s in dataset.test]
     batch = encoder.encode_batch(trajectories)
     for trajectory, fast in zip(trajectories, batch):
-        single = encoder.encode(trajectory)
+        (single,) = encoder.encode_batch([trajectory])
         assert (fast.candidate_ids == single.candidate_ids).all()
         assert (fast.candidate_directions == single.candidate_directions).all()
         assert (fast.candidate_distances == single.candidate_distances).all()
@@ -201,9 +203,9 @@ def test_forward_batch_bitwise_identical(trained_matcher, dataset):
             if len(indices) < 2:
                 continue
             batch = stack_encoded([encoded[i] for i in indices])
-            batched = trained_matcher.model.forward_batch(batch).data
+            batched = trained_matcher.model(batch).data
             for row, i in enumerate(indices):
-                single = trained_matcher.model.forward(encoded[i]).data
+                single = oracle.forward(trained_matcher.model, encoded[i]).data
                 assert (batched[row] == single).all()
             checked += 1
     assert checked > 0
@@ -213,7 +215,8 @@ def test_match_points_many_identical(trained_matcher, dataset):
     trajectories = [s.sparse for s in dataset.test] + [
         s.sparse for s in dataset.val
     ]
-    sequential = [trained_matcher.match_points(t) for t in trajectories]
+    sequential = [oracle.match_points(trained_matcher, t) for t in trajectories]
+    assert [trained_matcher.match_points(t) for t in trajectories] == sequential
     for batch_size in (1, 3, 32):
         assert (
             trained_matcher.match_points_many(trajectories, batch_size=batch_size)
@@ -228,7 +231,7 @@ def test_match_points_many_caps_points_per_forward(
         s.sparse for s in dataset.val
     ]
     trajectories = trajectories * 8  # same-length buckets above the cap
-    sequential = [trained_matcher.match_points(t) for t in trajectories]
+    sequential = [oracle.match_points(trained_matcher, t) for t in trajectories]
     shapes = []
     predict = trained_matcher.model.predict_segments_batch
 
@@ -249,28 +252,41 @@ def test_match_points_many_caps_points_per_forward(
 
 def test_match_many_identical(trained_matcher, dataset):
     trajectories = [s.sparse for s in dataset.test]
-    sequential = [trained_matcher.match(t) for t in trajectories]
+    sequential = [
+        trained_matcher.stitch(oracle.match_points(trained_matcher, t))
+        for t in trajectories
+    ]
+    assert [trained_matcher.match(t) for t in trajectories] == sequential
     assert trained_matcher.match_many(trajectories, batch_size=4) == sequential
 
 
-def test_minibatch_fit_epoch_runs(dataset):
-    matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=TINY_N2V, seed=9,
-    )
-    loss = matcher.fit_epoch(dataset, batch_size=4)
-    assert np.isfinite(loss) and loss > 0.0
-    # the model must still be usable through both inference paths
-    trajectories = [s.sparse for s in dataset.val]
-    assert matcher.match_points_many(trajectories) == [
-        matcher.match_points(t) for t in trajectories
-    ]
+def test_fit_epoch_matches_per_sample_oracle(dataset):
+    """MMA training (Eq. 10): ``fit_epoch``, which scores each trajectory
+    as a batch of one, takes exactly the per-sample oracle's steps."""
+    matcher = MMAMatcher(dataset.network, TINY_MMA, seed=9)
+    reference = MMAMatcher(dataset.network, TINY_MMA, seed=9)
+    model, optimizer = reference.model, reference.optimizer
+    for _ in range(2):
+        loss = matcher.fit_epoch(dataset)
+        model.train()
+        losses = []
+        for sample in dataset.train:
+            (encoded,) = reference.encoder.encode_batch([sample.sparse])
+            labels = reference.encoder.labels(encoded, sample.gt_segments)
+            step_loss = bce_with_logits(oracle.forward(model, encoded), labels)
+            optimizer.zero_grad()
+            step_loss.backward()
+            optimizer.step()
+            losses.append(step_loss.item())
+        assert loss.hex() == (sum(losses) / len(losses)).hex()
+    state, expected = matcher.model.state_dict(), model.state_dict()
+    assert state.keys() == expected.keys()
+    for name in state:
+        np.testing.assert_array_equal(state[name], expected[name])
 
 
 def test_recover_many_identical(trained_matcher, dataset):
-    recoverer = TRMMARecoverer(
-        dataset.network, trained_matcher, d_h=16, ffn_hidden=32, seed=2
-    )
+    recoverer = TRMMARecoverer(dataset.network, trained_matcher, TINY_TRMMA, seed=2)
     recoverer.fit_epoch(dataset)
     trajectories = [s.sparse for s in dataset.test]
     sequential = [recoverer.recover(t, dataset.epsilon) for t in trajectories]
@@ -280,14 +296,6 @@ def test_recover_many_identical(trained_matcher, dataset):
         assert len(a.points) == len(b.points)
         for pa, pb in zip(a.points, b.points):
             assert (pa.edge_id, pa.ratio, pa.t) == (pb.edge_id, pb.ratio, pb.t)
-
-
-def test_trmma_gradient_accumulation_runs(trained_matcher, dataset):
-    recoverer = TRMMARecoverer(
-        dataset.network, trained_matcher, d_h=16, ffn_hidden=32, seed=2
-    )
-    loss = recoverer.fit_epoch(dataset, batch_size=4)
-    assert np.isfinite(loss) and loss > 0.0
 
 
 # ------------------------------------------- per-trajectory decode oracle
@@ -373,10 +381,22 @@ def decode_per_trajectory(model, network, trajectory, observed, route, epsilon):
 
 
 def _decode_inputs(recoverer, trajectories):
+    """Observed points and routes per trajectory, point by point (MMA
+    through its per-sample oracle)."""
+    matcher, network = recoverer.matcher, recoverer.network
     observed, routes = [], []
     for trajectory in trajectories:
-        matched = recoverer.matcher.matched_points(trajectory)
-        route = recoverer.matcher.stitch([a.edge_id for a in matched])
+        if isinstance(matcher, MMAMatcher):
+            segments = oracle.match_points(matcher, trajectory)
+        else:
+            segments = matcher.match_points(trajectory)
+        matched = [
+            MapMatchedPoint(
+                edge_id=e, ratio=network.project_onto(e, p.x, p.y), t=p.t
+            )
+            for p, e in zip(trajectory, segments)
+        ]
+        route = matcher.stitch(segments)
         observed.append(
             reproject_onto_route(recoverer.network, trajectory, matched, route)
         )
@@ -390,7 +410,7 @@ def _points(recovered):
 
 @pytest.mark.parametrize(
     "config",
-    [TRMMAConfig(d_h=16, ffn_hidden=32), TRMMAConfig()],
+    [TINY_TRMMA, TRMMAConfig()],
     ids=["d_h16", "defaults"],
 )
 def test_lockstep_decode_matches_per_trajectory_oracle(
@@ -400,9 +420,7 @@ def test_lockstep_decode_matches_per_trajectory_oracle(
     where one flat (b, K) GEMM would round differently from b per-row
     (1, K) slices; the (b, 1, K) stacks and route-length buckets must
     keep every row bit-identical to the oracle."""
-    recoverer = TRMMARecoverer.from_config(
-        dataset.network, trained_matcher, config, seed=2
-    )
+    recoverer = TRMMARecoverer(dataset.network, trained_matcher, config, seed=2)
     recoverer.fit_epoch(dataset)
     base = [s.sparse for s in dataset.test + dataset.val]
     first, second, *rest = base[1].points
@@ -438,8 +456,8 @@ def test_lockstep_decode_builds_few_tensors(tiny_dataset, monkeypatch):
     """Lock-step decoding amortises the per-step graph over the batch: a
     deterministic guard against a per-trajectory loop creeping back."""
     recoverer = TRMMARecoverer(
-        tiny_dataset.network, FMMMatcher(tiny_dataset.network),
-        d_h=16, ffn_hidden=32, seed=0,
+        tiny_dataset.network, FMMMatcher(tiny_dataset.network), TINY_TRMMA,
+        seed=0,
     )
     trajectories = [
         s.sparse for s in tiny_dataset.train + tiny_dataset.val + tiny_dataset.test
@@ -476,12 +494,13 @@ def test_parallel_engine_identical_to_sequential(trained_matcher, dataset):
     from repro.config import EngineConfig
     from repro.engine import ParallelEngine
 
-    recoverer = TRMMARecoverer(
-        dataset.network, trained_matcher, d_h=16, ffn_hidden=32, seed=2
-    )
+    recoverer = TRMMARecoverer(dataset.network, trained_matcher, TINY_TRMMA, seed=2)
     recoverer.fit_epoch(dataset)
     trajectories = [s.sparse for s in dataset.test]
-    sequential_routes = [trained_matcher.match(t) for t in trajectories]
+    sequential_routes = [
+        trained_matcher.stitch(oracle.match_points(trained_matcher, t))
+        for t in trajectories
+    ]
     sequential_dense = [
         recoverer.recover(t, dataset.epsilon) for t in trajectories
     ]

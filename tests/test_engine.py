@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import EngineConfig, MMAConfig, TRMMAConfig
 from repro.data.datasets import build_dataset
 from repro.engine import ParallelEngine, SerialEngine, build_engine
 from repro.engine import parallel as parallel_module
@@ -41,12 +41,13 @@ def dataset():
 @pytest.fixture(scope="module")
 def trained(dataset):
     matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=TINY_N2V, seed=5,
+        dataset.network,
+        MMAConfig(d0=16, d2=16, ffn_hidden=32, node2vec=TINY_N2V),
+        seed=5,
     )
     matcher.fit_epoch(dataset)
     recoverer = TRMMARecoverer(
-        dataset.network, matcher, d_h=16, ffn_hidden=32, seed=2
+        dataset.network, matcher, TRMMAConfig(d_h=16, ffn_hidden=32), seed=2
     )
     recoverer.fit_epoch(dataset)
     return matcher, recoverer

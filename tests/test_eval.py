@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.data.trajectory import MapMatchedPoint, MatchedTrajectory
 from repro.eval.efficiency import (
     efficiency_report,
-    matching_inference_time,
-    recovery_inference_time,
+    inference_time,
     training_time_per_epoch,
 )
 from repro.eval.evaluate import evaluate_matching, evaluate_recovery
@@ -131,9 +130,9 @@ class TestHarness:
 
 class TestEfficiency:
     def test_matching_inference_time_positive(self, tiny_dataset):
-        t = matching_inference_time(
-            NearestMatcher(tiny_dataset.network), tiny_dataset,
-            samples=tiny_dataset.test[:3],
+        matcher = NearestMatcher(tiny_dataset.network)
+        t = inference_time(
+            lambda ts: [matcher.match(t) for t in ts], tiny_dataset.test[:3]
         )
         assert t > 0
 
@@ -141,14 +140,15 @@ class TestEfficiency:
         rec = LinearInterpolationRecoverer(
             tiny_dataset.network, NearestMatcher(tiny_dataset.network)
         )
-        t = recovery_inference_time(rec, tiny_dataset, samples=tiny_dataset.test[:3])
+        eps = tiny_dataset.epsilon
+        t = inference_time(
+            lambda ts: [rec.recover(t, eps) for t in ts], tiny_dataset.test[:3]
+        )
         assert t > 0
 
     def test_empty_samples_raise(self, tiny_dataset):
         with pytest.raises(ValueError):
-            matching_inference_time(
-                NearestMatcher(tiny_dataset.network), tiny_dataset, samples=[]
-            )
+            inference_time(NearestMatcher(tiny_dataset.network).match_many, [])
 
     def test_training_time(self, tiny_dataset):
         from repro.matching import LHMMMatcher

@@ -9,6 +9,7 @@ from repro import (
     attach_planner_statistics,
     build_dataset,
 )
+from repro.config import MMAConfig, TRMMAConfig
 from repro.eval import evaluate_matching, evaluate_recovery
 from repro.matching import FMMMatcher, NearestMatcher
 from repro.network.distances import NetworkDistance
@@ -18,6 +19,8 @@ from repro.recovery import LinearInterpolationRecoverer
 FAST_N2V = Node2VecConfig(
     dimensions=16, walk_length=8, walks_per_node=1, window=2, negatives=2, epochs=1
 )
+SMALL_MMA = MMAConfig(d0=16, d2=16, node2vec=FAST_N2V)
+SMALL_TRMMA = TRMMAConfig(d_h=16, ffn_hidden=64)
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +30,7 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def trained_mma(dataset):
-    matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, node2vec_config=FAST_N2V, seed=0
-    )
+    matcher = MMAMatcher(dataset.network, SMALL_MMA, seed=0)
     attach_planner_statistics(matcher, dataset.transition_statistics())
     matcher.fit(dataset, epochs=6)
     return matcher
@@ -37,9 +38,7 @@ def trained_mma(dataset):
 
 @pytest.fixture(scope="module")
 def trained_trmma(dataset, trained_mma):
-    recoverer = TRMMARecoverer(
-        dataset.network, trained_mma, d_h=16, ffn_hidden=64, seed=0
-    )
+    recoverer = TRMMARecoverer(dataset.network, trained_mma, SMALL_TRMMA, seed=0)
     for _ in range(4):
         recoverer.fit_epoch(dataset)
     return recoverer
@@ -97,9 +96,7 @@ class TestRecoveryPipeline:
 class TestDeterminism:
     def test_training_is_deterministic_under_seed(self, dataset):
         def build_and_train():
-            m = MMAMatcher(
-                dataset.network, d0=16, d2=16, node2vec_config=FAST_N2V, seed=9
-            )
+            m = MMAMatcher(dataset.network, SMALL_MMA, seed=9)
             m.fit_epoch(dataset)
             return m.match_points(dataset.test[0].sparse)
 
@@ -118,9 +115,7 @@ class TestCrossMatcherRecovery:
     @pytest.mark.parametrize("matcher_cls", [NearestMatcher, FMMMatcher])
     def test_recovery_with_other_matchers(self, dataset, matcher_cls):
         matcher = matcher_cls(dataset.network)
-        recoverer = TRMMARecoverer(
-            dataset.network, matcher, d_h=16, ffn_hidden=64, seed=1
-        )
+        recoverer = TRMMARecoverer(dataset.network, matcher, SMALL_TRMMA, seed=1)
         recoverer.fit_epoch(dataset)
         s = dataset.test[0]
         out = recoverer.recover(s.sparse, dataset.epsilon)

@@ -31,6 +31,9 @@ class TestUnbroadcast:
         g = np.ones((5, 3))
         out = _unbroadcast(g, (3,))
         np.testing.assert_allclose(out, np.full(3, 5.0))
+        g = np.arange(12.0).reshape(1, 4, 3)  # a batch of one
+        np.testing.assert_array_equal(_unbroadcast(g, (4, 3)), g[0])
+        np.testing.assert_array_equal(_unbroadcast(g, (3,)), g[0].sum(axis=0))
 
     def test_keepdim_axis_summed(self):
         g = np.ones((3, 4))

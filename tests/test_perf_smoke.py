@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.config import MMAConfig
 from repro.data.datasets import build_dataset
 from repro.matching.mma.matcher import MMAMatcher
 from repro.network.node2vec import Node2VecConfig
@@ -25,10 +26,13 @@ from repro.network.routing import DARoutePlanner
 def perf_setup():
     dataset = build_dataset("PT", n_trips=40, seed=23)
     matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=Node2VecConfig(
-            dimensions=16, walk_length=8, walks_per_node=2, window=3,
-            negatives=2, epochs=1,
+        dataset.network,
+        MMAConfig(
+            d0=16, d2=16, ffn_hidden=32,
+            node2vec=Node2VecConfig(
+                dimensions=16, walk_length=8, walks_per_node=2, window=3,
+                negatives=2, epochs=1,
+            ),
         ),
         seed=5,
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import MMAConfig, TRMMAConfig
 from repro.matching import LHMMMatcher, MMAMatcher
 from repro.network.node2vec import Node2VecConfig
 from repro.nn import MLP, Tensor
@@ -37,14 +38,16 @@ class TestModuleSaveLoad:
 class TestMatcherPersistence:
     def test_mma_model_roundtrip(self, tiny_dataset, tmp_path):
         matcher = MMAMatcher(
-            tiny_dataset.network, d0=16, d2=16, node2vec_config=FAST_N2V, seed=0
+            tiny_dataset.network, MMAConfig(d0=16, d2=16, node2vec=FAST_N2V),
+            seed=0,
         )
         matcher.fit_epoch(tiny_dataset)
         path = str(tmp_path / "mma.npz")
         matcher.model.save(path)
 
         clone = MMAMatcher(
-            tiny_dataset.network, d0=16, d2=16, use_node2vec=False, seed=5
+            tiny_dataset.network, MMAConfig(d0=16, d2=16, use_node2vec=False),
+            seed=5,
         )
         clone.model.load(path)
         s = tiny_dataset.test[0]
@@ -65,14 +68,16 @@ class TestRecovererPersistence:
     def test_trmma_model_roundtrip(self, tiny_dataset, tmp_path):
         matcher = FMMMatcher(tiny_dataset.network)
         rec = TRMMARecoverer(
-            tiny_dataset.network, matcher, d_h=16, ffn_hidden=64, seed=0
+            tiny_dataset.network, matcher, TRMMAConfig(d_h=16, ffn_hidden=64),
+            seed=0,
         )
         rec.fit_epoch(tiny_dataset)
         path = str(tmp_path / "trmma.npz")
         rec.model.save(path)
 
         clone = TRMMARecoverer(
-            tiny_dataset.network, matcher, d_h=16, ffn_hidden=64, seed=9
+            tiny_dataset.network, matcher, TRMMAConfig(d_h=16, ffn_hidden=64),
+            seed=9,
         )
         clone.model.load(path)
         s = tiny_dataset.test[0]

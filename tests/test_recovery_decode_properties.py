@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TRMMAConfig
 from repro.matching import FMMMatcher
 from repro.recovery import MTrajRecRecoverer
 from repro.recovery.route_utils import route_cumulative_lengths
@@ -15,7 +16,7 @@ from repro.recovery.trmma import TRMMARecoverer
 def trained_trmma(tiny_dataset):
     rec = TRMMARecoverer(
         tiny_dataset.network, FMMMatcher(tiny_dataset.network),
-        d_h=16, ffn_hidden=64, seed=0,
+        TRMMAConfig(d_h=16, ffn_hidden=64), seed=0,
     )
     for _ in range(2):
         rec.fit_epoch(tiny_dataset)

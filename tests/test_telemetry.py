@@ -261,16 +261,20 @@ class TestCacheRegistry:
 
 @pytest.fixture(scope="module")
 def telemetry_matcher():
+    from repro.config import MMAConfig
     from repro.data.datasets import build_dataset
     from repro.matching.mma.matcher import MMAMatcher
     from repro.network.node2vec import Node2VecConfig
 
     dataset = build_dataset("PT", n_trips=24, seed=19)
     matcher = MMAMatcher(
-        dataset.network, d0=16, d2=16, ffn_hidden=32,
-        node2vec_config=Node2VecConfig(
-            dimensions=16, walk_length=8, walks_per_node=2, window=3,
-            negatives=2, epochs=1,
+        dataset.network,
+        MMAConfig(
+            d0=16, d2=16, ffn_hidden=32,
+            node2vec=Node2VecConfig(
+                dimensions=16, walk_length=8, walks_per_node=2, window=3,
+                negatives=2, epochs=1,
+            ),
         ),
         seed=7,
     )
@@ -304,12 +308,14 @@ class TestPipelineInstrumentation:
         self, telemetry_matcher, clean_telemetry
     ):
         """Acceptance: stage breakdown sums to ~the measured wall clock."""
-        from repro.eval.efficiency import matching_inference_time_batched
+        from repro.eval.efficiency import inference_time
 
         dataset, matcher = telemetry_matcher
         matcher.match_many([s.sparse for s in dataset.test[:2]], batch_size=2)
         with telemetry.capture_stages() as capture:
-            matching_inference_time_batched(matcher, dataset, batch_size=8)
+            inference_time(
+                lambda ts: matcher.match_many(ts, batch_size=8), dataset.test
+            )
         assert capture.stages, "no stages captured"
         total = sum(capture.stages.values())
         assert total == pytest.approx(capture.window_seconds, rel=0.10)
@@ -367,7 +373,7 @@ class TestWorkerSpans:
     ):
         """A task that raises must not ship its spans with the next chunk."""
 
-        def execute_task(runtime, kind, payload):
+        def execute_task(engine, kind, payload):
             if kind == "boom":
                 with telemetry.span("boom"):
                     raise RuntimeError("task failed")
@@ -397,16 +403,19 @@ class TestWorkerSpans:
     def test_parallel_run_merges_worker_spans(
         self, tiny_dataset, clean_telemetry
     ):
-        from repro.config import EngineConfig
+        from repro.config import EngineConfig, MMAConfig
         from repro.engine import ParallelEngine
         from repro.matching.mma.matcher import MMAMatcher
         from repro.network.node2vec import Node2VecConfig
 
         matcher = MMAMatcher(
-            tiny_dataset.network, d0=16, d2=16, ffn_hidden=32,
-            node2vec_config=Node2VecConfig(
-                dimensions=16, walk_length=8, walks_per_node=2, window=3,
-                negatives=2, epochs=1,
+            tiny_dataset.network,
+            MMAConfig(
+                d0=16, d2=16, ffn_hidden=32,
+                node2vec=Node2VecConfig(
+                    dimensions=16, walk_length=8, walks_per_node=2, window=3,
+                    negatives=2, epochs=1,
+                ),
             ),
             seed=7,
         )

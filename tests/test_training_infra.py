@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import TRMMAConfig
 from repro.eval.evaluate import train_method
 from repro.experiments.common import ExperimentScale, fit_matcher
 from repro.matching import LHMMMatcher, NearestMatcher
@@ -41,7 +42,8 @@ class TestTrainMethodHelper:
         matcher = LHMMMatcher(tiny_dataset.network, seed=0)
         before = matcher.snapshot()
         rec = TRMMARecoverer(
-            tiny_dataset.network, matcher, d_h=16, ffn_hidden=64, seed=0
+            tiny_dataset.network, matcher, TRMMAConfig(d_h=16, ffn_hidden=64),
+            seed=0,
         )
         train_method(rec, tiny_dataset, epochs=1)
         after = matcher.snapshot()

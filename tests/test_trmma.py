@@ -29,6 +29,22 @@ from repro.recovery.trmma.model import (
 )
 from repro.nn import Tensor, bce_with_logits
 
+SMALL = TRMMAConfig(d_h=16, ffn_hidden=32)
+
+
+def _model(n_segments, config=SMALL, seed=0):
+    """A TRMMA model built from ``config``."""
+    return TRMMAModel(
+        n_segments,
+        d_h=config.d_h,
+        n_layers=config.n_layers,
+        n_heads=config.n_heads,
+        ffn_hidden=config.ffn_hidden,
+        ratio_weight=config.ratio_weight,
+        use_fusion=config.use_fusion,
+        seed=seed,
+    )
+
 
 @pytest.fixture(scope="module")
 def example(tiny_dataset):
@@ -145,9 +161,7 @@ class TestPriorHelpers:
 
 class TestModelTraining:
     def test_training_loss_positive_and_decreases(self, tiny_dataset):
-        model = TRMMAModel(
-            tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
-        )
+        model = _model(tiny_dataset.network.n_segments)
         from repro.nn import Adam
 
         opt = Adam(model.parameters(), lr=1e-3)
@@ -165,9 +179,7 @@ class TestModelTraining:
         assert last < first
 
     def test_decode_respects_route_order(self, tiny_dataset):
-        model = TRMMAModel(
-            tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
-        )
+        model = _model(tiny_dataset.network.n_segments)
         s = tiny_dataset.test[0]
         (out,) = model.decode(
             tiny_dataset.network,
@@ -255,15 +267,7 @@ class TestTrainingParity:
         ids=["d_h16", "defaults"],
     )
     def test_training_loss_matches_per_step_oracle(self, tiny_dataset, config):
-        model = TRMMAModel(
-            tiny_dataset.network.n_segments,
-            d_h=config.d_h,
-            n_layers=config.n_layers,
-            n_heads=config.n_heads,
-            ffn_hidden=config.ffn_hidden,
-            ratio_weight=config.ratio_weight,
-            seed=0,
-        )
+        model = _model(tiny_dataset.network.n_segments, config)
         first = tiny_dataset.train[0]
         samples = tiny_dataset.train + [_thinned(first, 1), _thinned(first, 0)]
         examples = [build_example(tiny_dataset.network, s) for s in samples]
@@ -283,8 +287,8 @@ class TestTrainingParity:
 
     def test_fit_epoch_without_missing_points_takes_no_step(self, tiny_dataset):
         rec = TRMMARecoverer(
-            tiny_dataset.network, NearestMatcher(tiny_dataset.network),
-            d_h=16, ffn_hidden=32, seed=0,
+            tiny_dataset.network, NearestMatcher(tiny_dataset.network), SMALL,
+            seed=0,
         )
         before = [p.data.copy() for p in rec.model.parameters()]
         split = SimpleNamespace(train=[_thinned(tiny_dataset.train[0], 0)])
@@ -296,9 +300,7 @@ class TestTrainingParity:
     def test_training_builds_few_tensors(self, tiny_dataset, monkeypatch):
         """Deterministic guard against the per-point heads creeping back:
         Tensors built by loss + backward over the training split."""
-        model = TRMMAModel(
-            tiny_dataset.network.n_segments, d_h=16, ffn_hidden=32, seed=0
-        )
+        model = _model(tiny_dataset.network.n_segments)
         examples = [
             build_example(tiny_dataset.network, s) for s in tiny_dataset.train
         ]
@@ -319,25 +321,12 @@ class TestTrainingParity:
         per_step, two_phase = counts
         assert two_phase <= 0.6 * per_step
 
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_fit_epoch_rejects_non_positive_batch_size(
-        self, tiny_dataset, batch_size
-    ):
-        rec = TRMMARecoverer(
-            tiny_dataset.network, NearestMatcher(tiny_dataset.network),
-            d_h=16, ffn_hidden=32, seed=0,
-        )
-        with pytest.raises(ValueError, match="batch_size"):
-            rec.fit_epoch(tiny_dataset, batch_size=batch_size)
-
 
 class TestRecoverer:
     @pytest.fixture(scope="class")
     def trained(self, tiny_dataset):
         matcher = FMMMatcher(tiny_dataset.network)
-        rec = TRMMARecoverer(
-            tiny_dataset.network, matcher, d_h=16, ffn_hidden=32, seed=0
-        )
+        rec = TRMMARecoverer(tiny_dataset.network, matcher, SMALL, seed=0)
         rec.fit(tiny_dataset, epochs=3)
         return rec
 
@@ -364,11 +353,7 @@ class TestRecoverer:
 
         dist = NetworkDistance(tiny_dataset.network)
         fresh = TRMMARecoverer(
-            tiny_dataset.network,
-            FMMMatcher(tiny_dataset.network),
-            d_h=16,
-            ffn_hidden=32,
-            seed=1,
+            tiny_dataset.network, FMMMatcher(tiny_dataset.network), SMALL, seed=1
         )
         trained_metrics = evaluate_recovery(trained, tiny_dataset, distance=dist)
         fresh_metrics = evaluate_recovery(fresh, tiny_dataset, distance=dist)
