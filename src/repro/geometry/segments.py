@@ -50,15 +50,6 @@ class SegmentGeometry:
             self.ay + (self.by - self.ay) * ratio,
         )
 
-    def bbox(self) -> Tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) bounding box of the segment."""
-        return (
-            min(self.ax, self.bx),
-            min(self.ay, self.by),
-            max(self.ax, self.bx),
-            max(self.ay, self.by),
-        )
-
 
 def project_ratio(seg: SegmentGeometry, x: float, y: float) -> float:
     """Position ratio of the orthogonal projection of (x, y) onto ``seg``.

@@ -64,7 +64,7 @@ class ModuleInfo:
     """A parsed source file plus the metadata rules key off."""
 
     path: str  # posix-style path as given on the command line
-    module: str  # dotted module name, e.g. ``repro.spatial.rtree``
+    module: str  # dotted module name, e.g. ``repro.network.road_network``
     tree: ast.Module
     source: str
     suppressions: Dict[int, List[Suppression]] = field(default_factory=dict)

@@ -20,7 +20,7 @@ from .core import Finding, LintContext, ModuleInfo, Rule
 
 #: Module-name prefixes (or exact names) of the vectorised surface.
 VECTORISED_MODULES = (
-    "repro.spatial",
+    "repro.network.road_network",
     "repro.engine",
     "repro.matching.mma.features",
 )

@@ -218,10 +218,8 @@ def _reproject_onto_route(
 ) -> List[MapMatchedPoint]:
     n_points = len(matched)
     l_route = len(route)
-    route_idx = np.asarray(route, dtype=np.int64)
-    distances = np.empty((n_points, l_route))
-    for i, p in enumerate(trajectory):
-        distances[i] = network.all_segment_distances(p.x, p.y)[route_idx]
+    xy = np.array([[p.x, p.y] for p in trajectory], dtype=np.float64)
+    distances = network.segment_distances(xy, np.asarray(route, dtype=np.int64))
     # cost[i, k]: best total distance matching points 0..i with point i on
     # route position k, positions non-decreasing.
     cost = np.full((n_points, l_route), np.inf)

@@ -10,8 +10,9 @@ method in the library needs:
 
 * per-segment :class:`~repro.geometry.segments.SegmentGeometry` and lengths,
 * adjacency (outgoing/incoming edges per node, segment successor lists),
-* an STR R-tree over segments for top-``k_c`` candidate queries
-  (Definition 8),
+* one vectorised point-to-segment distance kernel
+  (:meth:`RoadNetwork.segment_distances`) and the exact top-``k_c``
+  candidate query built on it (Definition 8),
 * the local lat/lng projection so GPS coordinates can be mapped into the
   planar frame.
 """
@@ -24,12 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.points import LocalProjection
-from ..geometry.segments import (
-    SegmentGeometry,
-    point_segment_distance,
-    project_ratio,
-)
-from ..spatial.rtree import STRtree
+from ..geometry.segments import SegmentGeometry, project_ratio
 from ..telemetry import register_cache, size_probe, span
 
 
@@ -44,7 +40,7 @@ class Segment:
 
 
 class RoadNetwork:
-    """Directed road-network graph with spatial indexing.
+    """Directed road-network graph with exact nearest-segment queries.
 
     Parameters
     ----------
@@ -97,8 +93,7 @@ class RoadNetwork:
         register_cache(
             "network.successor_table", self, size_probe("successor_table")
         )
-        self._rtree = STRtree([g.bbox() for g in self._geometry]) if edges else None
-        # Vectorised segment geometry for the brute-force k-NN fast path.
+        # Vectorised segment geometry for the distance kernel.
         if edges:
             a = np.array([[g.ax, g.ay] for g in self._geometry])
             b = np.array([[g.bx, g.by] for g in self._geometry])
@@ -168,34 +163,25 @@ class RoadNetwork:
 
     # ----------------------------------------------------------- spatial API
 
-    def segment_distance(self, edge_id: int, x: float, y: float) -> float:
-        """Perpendicular distance from planar point (x, y) to the segment."""
-        return point_segment_distance(self._geometry[edge_id], x, y)
+    def segment_distances(
+        self, xy: np.ndarray, ids: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Perpendicular distances from N planar points to segments.
 
-    #: Below this segment count a vectorised brute-force scan beats the
-    #: R-tree's per-node Python overhead; above it the index wins.
-    BRUTE_FORCE_LIMIT = 20_000
-
-    def all_segment_distances(self, x: float, y: float) -> np.ndarray:
-        """Vectorised perpendicular distance from (x, y) to every segment."""
-        p = np.array([x, y])
-        t = ((p - self._seg_a) * self._seg_d).sum(axis=1) / self._seg_len2
-        t = np.clip(t, 0.0, 1.0)
-        closest = self._seg_a + t[:, None] * self._seg_d
-        return np.sqrt(((closest - p) ** 2).sum(axis=1))
-
-    def all_segment_distances_batch(self, xy: np.ndarray) -> np.ndarray:
-        """Distances from N planar points to every segment, shape (N, M).
-
-        Elementwise ops mirror :meth:`all_segment_distances` exactly, so each
-        row is bit-identical to the per-point computation.
+        Returns an ``(N, len(ids))`` array, or ``(N, n_segments)`` when
+        ``ids`` is None.  This is the one vectorised form of
+        :func:`~repro.geometry.segments.point_segment_distance`; every op is
+        elementwise per (point, segment) pair, so a column depends only on
+        its own point and segment, whatever else is in the batch.
         """
-        xy = np.asarray(xy, dtype=np.float64)
-        t = ((xy[:, None, :] - self._seg_a[None]) * self._seg_d[None]).sum(
-            axis=2
-        ) / self._seg_len2[None]
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        a, d, len2 = self._seg_a, self._seg_d, self._seg_len2
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.int64)
+            a, d, len2 = a[ids], d[ids], len2[ids]
+        t = ((xy[:, None, :] - a[None]) * d[None]).sum(axis=2) / len2[None]
         t = np.clip(t, 0.0, 1.0)
-        closest = self._seg_a[None] + t[:, :, None] * self._seg_d[None]
+        closest = a[None] + t[:, :, None] * d[None]
         return np.sqrt(((closest - xy[:, None, :]) ** 2).sum(axis=2))
 
     @staticmethod
@@ -211,30 +197,25 @@ class RoadNetwork:
     ) -> List[Tuple[int, float]]:
         """Top-``k`` nearest segments to planar (x, y), with exact distances.
 
-        This is the candidate-set query of Definition 8 (``k = k_c``).
+        This is the candidate-set query of Definition 8 (``k = k_c``), as a
+        batch of one of :meth:`nearest_segments_batch` (without its span).
         """
-        if self._rtree is None:
-            return []
-        if self.n_segments <= self.BRUTE_FORCE_LIMIT:
-            distances = self.all_segment_distances(x, y)
-            # Deterministic tie-breaking by segment id, matching the R-tree.
-            return self._topk_of_row(distances, min(k, self.n_segments))
-        return self._rtree.nearest(x, y, k=k, distance_fn=self.segment_distance)
+        return self._nearest_segments_batch(np.array([[x, y]]), k)[0]
 
     #: Query-chunk size bounding the (chunk, M) distance-matrix memory of the
-    #: bulk k-NN path.  Larger blocks buy no speed: the top-k selection runs
-    #: per row either way.
+    #: k-NN scan.  Larger blocks buy no speed: the top-k selection runs per
+    #: row either way.
     KNN_CHUNK = 64
 
     def nearest_segments_batch(
         self, xy: np.ndarray, k: int = 1
     ) -> List[List[Tuple[int, float]]]:
-        """Bulk form of :meth:`nearest_segments`: top-``k`` candidates for N
-        query points in one vectorised pass (bit-identical per-point results).
+        """Top-``k`` nearest segments (id, distance) for N planar points.
 
-        This is the amortised candidate-set query feeding MMA's batched
-        feature encoding: one (N, M) distance matrix replaces N separate
-        scans, so the per-query Python overhead disappears.
+        An exact ``O(N * |E|)`` scan: :meth:`segment_distances` over blocks of
+        :attr:`KNN_CHUNK` queries, then a top-``k`` selection per row.  At
+        most ``min(k, n_segments)`` hits per point; none on an edgeless
+        network.
 
         Telemetry: each call is recorded as a ``candidates`` span, nesting
         under ``features`` when invoked from the batched feature encoder.
@@ -247,27 +228,14 @@ class RoadNetwork:
     ) -> List[List[Tuple[int, float]]]:
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         n = xy.shape[0]
-        if self._rtree is None or n == 0:
+        if self.n_segments == 0 or n == 0:
             return [[] for _ in range(n)]
-        if self.n_segments <= self.BRUTE_FORCE_LIMIT:
-            kk = min(k, self.n_segments)
-            sets: List[List[Tuple[int, float]]] = []
-            for start in range(0, n, self.KNN_CHUNK):
-                block = self.all_segment_distances_batch(xy[start : start + self.KNN_CHUNK])
-                sets.extend(self._topk_of_row(row, kk) for row in block)
-            return sets
-
-        def batch_distance(ids: np.ndarray, x: float, y: float) -> np.ndarray:
-            a, d = self._seg_a[ids], self._seg_d[ids]
-            p = np.array([x, y])
-            t = ((p - a) * d).sum(axis=1) / self._seg_len2[ids]
-            t = np.clip(t, 0.0, 1.0)
-            closest = a + t[:, None] * d
-            return np.sqrt(((closest - p) ** 2).sum(axis=1))
-
-        return self._rtree.nearest_batch(
-            xy[:, 0], xy[:, 1], k=k, batch_distance_fn=batch_distance
-        )
+        kk = min(k, self.n_segments)
+        sets: List[List[Tuple[int, float]]] = []
+        for start in range(0, n, self.KNN_CHUNK):
+            block = self.segment_distances(xy[start : start + self.KNN_CHUNK])
+            sets.extend(self._topk_of_row(row, kk) for row in block)
+        return sets
 
     def segment_endpoints(
         self, edge_ids: np.ndarray

@@ -1,4 +1,4 @@
-# reprolint: module=repro.spatial.fixture_badsupp
+# reprolint: module=repro.network.road_network.fixture_badsupp
 """RL000 fixture: suppressions must carry a reason (and parse)."""
 
 import math

@@ -1,4 +1,4 @@
-# reprolint: module=repro.spatial.fixture_parity
+# reprolint: module=repro.network.road_network.fixture_parity
 """RL001 fixture: scalar math in a module claiming the vectorised surface."""
 
 import math

@@ -1,4 +1,4 @@
-# reprolint: module=repro.spatial.fixture_parity_ok
+# reprolint: module=repro.network.road_network.fixture_parity_ok
 """RL001 fixture: the escape hatch silences a justified scalar call."""
 
 import math

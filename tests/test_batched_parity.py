@@ -19,6 +19,7 @@ import pytest
 from repro.config import MMAConfig, TRMMAConfig
 from repro.data.datasets import build_dataset
 from repro.data.trajectory import MapMatchedPoint, MatchedTrajectory, Trajectory
+from repro.geometry import point_segment_distance
 from repro.matching import FMMMatcher
 from repro.matching.base import reproject_onto_route
 from repro.matching.mma.candidates import candidate_sets_batch
@@ -40,8 +41,6 @@ from repro.recovery.route_utils import (
 )
 from repro.recovery.trmma.encoder import build_point_features, route_attributes
 from repro.recovery.trmma.recoverer import TRMMARecoverer
-from repro.spatial.grid import UniformGrid
-from repro.spatial.rtree import STRtree
 
 from . import mma_oracles as oracle
 
@@ -68,48 +67,6 @@ def trained_matcher(dataset):
 # ------------------------------------------------------------- bulk k-NN
 
 
-def _random_boxes(rng, n):
-    centers = rng.uniform(0.0, 1000.0, size=(n, 2))
-    sizes = rng.uniform(1.0, 60.0, size=(n, 2))
-    return [
-        (cx - w, cy - h, cx + w, cy + h)
-        for (cx, cy), (w, h) in zip(centers, sizes)
-    ]
-
-
-@pytest.mark.parametrize("k", [1, 3, 7])
-def test_rtree_nearest_batch_matches_sequential(k):
-    rng = np.random.default_rng(21)
-    tree = STRtree(_random_boxes(rng, 120))
-    xs = rng.uniform(-100.0, 1100.0, size=40)
-    ys = rng.uniform(-100.0, 1100.0, size=40)
-    batch = tree.nearest_batch(xs, ys, k=k)
-    for x, y, hits in zip(xs, ys, batch):
-        assert hits == tree.nearest(float(x), float(y), k=k)
-
-
-@pytest.mark.parametrize("k", [1, 4])
-def test_grid_nearest_batch_matches_sequential(k):
-    rng = np.random.default_rng(8)
-    grid = UniformGrid(_random_boxes(rng, 80), cell_size=200.0)
-    xs = rng.uniform(0.0, 1000.0, size=25)
-    ys = rng.uniform(0.0, 1000.0, size=25)
-    batch = grid.nearest_batch(xs, ys, k=k)
-    for x, y, hits in zip(xs, ys, batch):
-        assert hits == grid.nearest(float(x), float(y), k=k)
-
-
-def test_nearest_batch_respects_max_distance():
-    rng = np.random.default_rng(3)
-    tree = STRtree(_random_boxes(rng, 60))
-    xs = rng.uniform(0.0, 1000.0, size=10)
-    ys = rng.uniform(0.0, 1000.0, size=10)
-    batch = tree.nearest_batch(xs, ys, k=5, max_distance=50.0)
-    for x, y, hits in zip(xs, ys, batch):
-        assert hits == tree.nearest(float(x), float(y), k=5, max_distance=50.0)
-        assert all(d <= 50.0 for _, d in hits)
-
-
 def test_network_nearest_segments_batch(small_network):
     rng = np.random.default_rng(17)
     xmin, ymin, xmax, ymax = small_network.bounding_box()
@@ -123,6 +80,28 @@ def test_network_nearest_segments_batch(small_network):
     batch = small_network.nearest_segments_batch(xy, k=10)
     for (x, y), hits in zip(xy, batch):
         assert hits == small_network.nearest_segments(float(x), float(y), k=10)
+
+
+def test_segment_distances_gathers_columns(small_network):
+    rng = np.random.default_rng(29)
+    xmin, ymin, xmax, ymax = small_network.bounding_box()
+    xy = np.column_stack(
+        [
+            rng.uniform(xmin - 50, xmax + 50, size=23),
+            rng.uniform(ymin - 50, ymax + 50, size=23),
+        ]
+    )
+    full = small_network.segment_distances(xy)
+    assert full.shape == (23, small_network.n_segments)
+    ids = rng.integers(0, small_network.n_segments, size=17)  # repeats, unsorted
+    assert np.array_equal(small_network.segment_distances(xy, ids), full[:, ids])
+    assert small_network.segment_distances(xy, []).shape == (23, 0)
+    for (x, y), row in zip(xy, full):
+        reference = [
+            point_segment_distance(small_network.geometry(e), float(x), float(y))
+            for e in range(small_network.n_segments)
+        ]
+        assert row == pytest.approx(reference, rel=1e-12, abs=1e-9)
 
 
 # -------------------------------------------------- candidates & features

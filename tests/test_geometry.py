@@ -110,10 +110,6 @@ class TestSegmentGeometry:
         seg = SegmentGeometry(0, 0, 10, 0)
         assert seg.point_at(0.3) == (3.0, 0.0)
 
-    def test_bbox_ordering(self):
-        seg = SegmentGeometry(10, 5, 0, 20)
-        assert seg.bbox() == (0, 5, 10, 20)
-
 
 class TestProjection:
     def test_interior_projection(self):

@@ -156,7 +156,7 @@ def test_cli_fails_on_seeded_violation(tmp_path):
     """What the CI lint job does on a regression: nonzero exit, JSON report."""
     bad = tmp_path / "seeded.py"
     bad.write_text(
-        "# reprolint: module=repro.spatial.seeded\n"
+        "# reprolint: module=repro.network.road_network.seeded\n"
         "import math\n"
         "def f(x, y):\n"
         "    return math.hypot(x, y)\n"
