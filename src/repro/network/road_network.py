@@ -184,14 +184,6 @@ class RoadNetwork:
         closest = a[None] + t[:, :, None] * d[None]
         return np.sqrt(((closest - xy[:, None, :]) ** 2).sum(axis=2))
 
-    @staticmethod
-    def _topk_of_row(distances: np.ndarray, k: int) -> List[Tuple[int, float]]:
-        """Top-k selection of one distance row, tie-broken by segment id."""
-        top = np.argpartition(distances, k - 1)[:k]
-        order = top[np.argsort(distances[top], kind="stable")]
-        result = sorted(((float(distances[i]), int(i)) for i in order))
-        return [(i, d) for d, i in result]
-
     def nearest_segments(
         self, x: float, y: float, k: int = 1
     ) -> List[Tuple[int, float]]:
@@ -213,9 +205,10 @@ class RoadNetwork:
         """Top-``k`` nearest segments (id, distance) for N planar points.
 
         An exact ``O(N * |E|)`` scan: :meth:`segment_distances` over blocks of
-        :attr:`KNN_CHUNK` queries, then a top-``k`` selection per row.  At
-        most ``min(k, n_segments)`` hits per point; none on an edgeless
-        network.
+        :attr:`KNN_CHUNK` queries, then a top-``k`` selection per row.  Hits
+        are the first ``min(k, n_segments)`` segments in ``(distance, id)``
+        order, so equidistant twins of a two-way road that straddle the
+        ``k``-th place resolve to the lower id.  None on an edgeless network.
 
         Telemetry: each call is recorded as a ``candidates`` span, nesting
         under ``features`` when invoked from the batched feature encoder.
@@ -228,13 +221,20 @@ class RoadNetwork:
     ) -> List[List[Tuple[int, float]]]:
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         n = xy.shape[0]
-        if self.n_segments == 0 or n == 0:
-            return [[] for _ in range(n)]
         kk = min(k, self.n_segments)
+        if kk < 1 or n == 0:
+            return [[] for _ in range(n)]
         sets: List[List[Tuple[int, float]]] = []
         for start in range(0, n, self.KNN_CHUNK):
             block = self.segment_distances(xy[start : start + self.KNN_CHUNK])
-            sets.extend(self._topk_of_row(row, kk) for row in block)
+            # Every segment at or below the k-th distance contends; ids come
+            # out ascending, so a stable sort by distance gives (distance, id)
+            # order whatever order the partition left ties in.
+            kth = np.partition(block, kk - 1, axis=1)[:, kk - 1 : kk]
+            for row, contends in zip(block, block <= kth):
+                ids = np.flatnonzero(contends)
+                ids = ids[np.argsort(row[ids], kind="stable")[:kk]]
+                sets.append(list(zip(ids.tolist(), row[ids].tolist())))
         return sets
 
     def segment_endpoints(

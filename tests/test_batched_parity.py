@@ -31,6 +31,7 @@ from repro.matching.mma.matcher import (
 )
 from repro.network.cache import LRUCache
 from repro.network.node2vec import Node2VecConfig
+from repro.network.road_network import RoadNetwork
 from repro.network.routing import DARoutePlanner
 from repro.nn import bce_with_logits
 from repro.nn.tensor import Tensor, concat, no_grad, softmax
@@ -80,6 +81,54 @@ def test_network_nearest_segments_batch(small_network):
     batch = small_network.nearest_segments_batch(xy, k=10)
     for (x, y), hits in zip(xy, batch):
         assert hits == small_network.nearest_segments(float(x), float(y), k=10)
+
+
+def _knn_oracle(network, xy, k):
+    """Top-k by sorting every kernel row on (distance, segment id)."""
+    ids = np.arange(network.n_segments)
+    return [
+        [(int(i), float(row[i])) for i in np.lexsort((ids, row))[:k]]
+        for row in network.segment_distances(xy)
+    ]
+
+
+def test_nearest_segments_break_ties_by_segment_id(square_network):
+    # Each street is a pair of equidistant twins; these queries put a twin
+    # pair across the k-th place.
+    assert square_network.nearest_segments(3.0, 50.0, k=1) == [(2, 3.0)]
+    for (x, y), top3 in (((3.0, 50.0), [2, 3, 0]), ((50.0, 97.0), [6, 7, 2])):
+        assert [e for e, _ in square_network.nearest_segments(x, y, k=3)] == top3
+    xy = np.array([[3.0, 50.0], [50.0, 97.0], [50.0, 3.0], [50.0, 50.0]])
+    for k in range(1, square_network.n_segments + 2):  # up to k > |E|
+        assert square_network.nearest_segments_batch(xy, k) == _knn_oracle(
+            square_network, xy, k
+        )
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 1000])
+def test_nearest_segments_batch_matches_sorted_oracle(small_network, k):
+    rng = np.random.default_rng(5)
+    xmin, ymin, xmax, ymax = small_network.bounding_box()
+    n = 2 * small_network.KNN_CHUNK + 5  # crosses the query-block boundaries
+    random_xy = np.column_stack(
+        [
+            rng.uniform(xmin - 50, xmax + 50, size=n),
+            rng.uniform(ymin - 50, ymax + 50, size=n),
+        ]
+    )
+    # Segment midpoints: the twin of a two-way road is exactly equidistant.
+    a, b = small_network.segment_endpoints(np.arange(small_network.n_segments))
+    xy = np.vstack([random_xy, (a + b) / 2.0])
+    batch = small_network.nearest_segments_batch(xy, k)
+    assert batch == _knn_oracle(small_network, xy, k)
+    assert all(len(hits) == min(k, small_network.n_segments) for hits in batch)
+
+
+def test_nearest_segments_on_edgeless_network():
+    network = RoadNetwork(np.array([[0.0, 0.0], [10.0, 0.0]]), [])
+    assert network.nearest_segments(1.0, 2.0, k=3) == []
+    assert network.nearest_segments_batch(np.zeros((3, 2)), k=3) == [[], [], []]
+    assert network.segment_distances(np.zeros((3, 2))).shape == (3, 0)
 
 
 def test_segment_distances_gathers_columns(small_network):
