@@ -219,7 +219,7 @@ def _reproject_onto_route(
     n_points = len(matched)
     l_route = len(route)
     xy = np.array([[p.x, p.y] for p in trajectory], dtype=np.float64)
-    distances = network.segment_distances(xy, np.asarray(route, dtype=np.int64))
+    distances = network.segment_distances(xy, route)
     # cost[i, k]: best total distance matching points 0..i with point i on
     # route position k, positions non-decreasing.
     cost = np.full((n_points, l_route), np.inf)

@@ -164,7 +164,7 @@ class RoadNetwork:
     # ----------------------------------------------------------- spatial API
 
     def segment_distances(
-        self, xy: np.ndarray, ids: Optional[np.ndarray] = None
+        self, xy: np.ndarray, ids: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Perpendicular distances from N planar points to segments.
 
@@ -177,8 +177,8 @@ class RoadNetwork:
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         a, d, len2 = self._seg_a, self._seg_d, self._seg_len2
         if ids is not None:
-            ids = np.asarray(ids, dtype=np.int64)
-            a, d, len2 = a[ids], d[ids], len2[ids]
+            rows = np.asarray(ids, dtype=np.int64)
+            a, d, len2 = a[rows], d[rows], len2[rows]
         t = ((xy[:, None, :] - a[None]) * d[None]).sum(axis=2) / len2[None]
         t = np.clip(t, 0.0, 1.0)
         closest = a[None] + t[:, :, None] * d[None]

@@ -174,8 +174,6 @@ def test_candidate_sets_pads_to_kc(square_network, dataset):
 
 
 def test_empty_network_error_names_point_index(dataset):
-    from repro.network.road_network import RoadNetwork
-
     empty = RoadNetwork(np.array([[0.0, 0.0], [1.0, 1.0]]), [])
     trajectory = dataset.test[0].sparse
     with pytest.raises(RuntimeError, match="GPS point 0"):
