@@ -68,16 +68,21 @@ def trained_matcher(dataset):
 # ------------------------------------------------------------- bulk k-NN
 
 
-def test_network_nearest_segments_batch(small_network):
-    rng = np.random.default_rng(17)
-    xmin, ymin, xmax, ymax = small_network.bounding_box()
-    n = 2 * small_network.KNN_CHUNK + 5  # crosses the query-block boundaries
-    xy = np.column_stack(
+def _random_queries(network, n, seed):
+    """``n`` planar points over the network's bounding box, 50 m margin."""
+    rng = np.random.default_rng(seed)
+    xmin, ymin, xmax, ymax = network.bounding_box()
+    return np.column_stack(
         [
             rng.uniform(xmin - 50, xmax + 50, size=n),
             rng.uniform(ymin - 50, ymax + 50, size=n),
         ]
     )
+
+
+def test_network_nearest_segments_batch(small_network):
+    n = 2 * small_network.KNN_CHUNK + 5  # crosses the query-block boundaries
+    xy = _random_queries(small_network, n, seed=17)
     batch = small_network.nearest_segments_batch(xy, k=10)
     for (x, y), hits in zip(xy, batch):
         assert hits == small_network.nearest_segments(float(x), float(y), k=10)
@@ -107,18 +112,10 @@ def test_nearest_segments_break_ties_by_segment_id(square_network):
 
 @pytest.mark.parametrize("k", [1, 3, 10, 1000])
 def test_nearest_segments_batch_matches_sorted_oracle(small_network, k):
-    rng = np.random.default_rng(5)
-    xmin, ymin, xmax, ymax = small_network.bounding_box()
     n = 2 * small_network.KNN_CHUNK + 5  # crosses the query-block boundaries
-    random_xy = np.column_stack(
-        [
-            rng.uniform(xmin - 50, xmax + 50, size=n),
-            rng.uniform(ymin - 50, ymax + 50, size=n),
-        ]
-    )
     # Segment midpoints: the twin of a two-way road is exactly equidistant.
     a, b = small_network.segment_endpoints(np.arange(small_network.n_segments))
-    xy = np.vstack([random_xy, (a + b) / 2.0])
+    xy = np.vstack([_random_queries(small_network, n, seed=5), (a + b) / 2.0])
     batch = small_network.nearest_segments_batch(xy, k)
     assert batch == _knn_oracle(small_network, xy, k)
     assert all(len(hits) == min(k, small_network.n_segments) for hits in batch)
@@ -132,17 +129,12 @@ def test_nearest_segments_on_edgeless_network():
 
 
 def test_segment_distances_gathers_columns(small_network):
-    rng = np.random.default_rng(29)
-    xmin, ymin, xmax, ymax = small_network.bounding_box()
-    xy = np.column_stack(
-        [
-            rng.uniform(xmin - 50, xmax + 50, size=23),
-            rng.uniform(ymin - 50, ymax + 50, size=23),
-        ]
-    )
+    xy = _random_queries(small_network, 23, seed=29)
     full = small_network.segment_distances(xy)
     assert full.shape == (23, small_network.n_segments)
-    ids = rng.integers(0, small_network.n_segments, size=17)  # repeats, unsorted
+    ids = np.random.default_rng(3).integers(  # repeats, unsorted
+        0, small_network.n_segments, size=17
+    )
     assert np.array_equal(small_network.segment_distances(xy, ids), full[:, ids])
     assert small_network.segment_distances(xy, []).shape == (23, 0)
     for (x, y), row in zip(xy, full):
