@@ -12,7 +12,7 @@ from repro.utils.tables import (
     render_series,
     render_table,
 )
-from repro.utils.timing import Timer, time_call
+from repro.utils.timing import time_call
 
 
 class TestRng:
@@ -42,42 +42,8 @@ class TestRng:
 
 
 class TestTiming:
-    def test_timer_measures(self):
-        with Timer() as t:
-            sum(range(10000))
-        assert t.elapsed > 0
-
     def test_time_call(self):
         assert time_call(lambda: None) >= 0
-
-    def test_timer_is_reusable(self):
-        t = Timer()
-        with t:
-            sum(range(1000))
-        first = t.elapsed
-        with t:
-            sum(range(1000))
-        assert len(t.laps) == 2
-        assert t.laps[0] == first
-        assert t.elapsed == t.laps[1]
-        assert t.total == pytest.approx(sum(t.laps))
-
-    def test_timer_is_reentrant(self):
-        t = Timer()
-        with t:
-            with t:
-                sum(range(1000))
-        # Inner lap finishes first, outer lap covers it.
-        assert len(t.laps) == 2
-        assert t.laps[1] >= t.laps[0]
-
-    def test_timer_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.laps == []
-        assert t.total == 0.0
 
 
 class TestTables:
