@@ -4,9 +4,10 @@ Each benchmark module regenerates one paper artefact (table or figure) at
 ``BENCH`` scale, times the regeneration with pytest-benchmark, prints the
 paper-style report through the structured logger, and writes it to
 ``benchmarks/results/<id>.txt``.  For the efficiency figures (Figs. 5/9)
-the report carries the per-stage time breakdown (candidates / features /
-model / routing / decode seconds) captured by ``repro.telemetry`` around
-the batched-inference measurement.
+the report carries the per-stage self-time breakdown (candidates /
+features / model / routing / decode seconds) that
+``repro.telemetry.capture_stages`` records around the batched-inference
+measurement.
 
 Same-machine, noise-aware speed measurements of the trained stack live in
 ``perfbench/`` (``python3 perfbench/run.py``), not here.

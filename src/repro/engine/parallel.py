@@ -22,8 +22,8 @@ removed from the pool and its in-flight share is re-dispatched to the
 survivors (up to ``max_retries`` times, then run inline in the parent);
 if every worker is gone, all remaining shares fall back to the in-process
 serial engine.  The next request is split over the survivors only.
-Telemetry snapshots travel back with every share result and merge into the
-parent registry under a ``worker:<id>`` span root.
+Each share result carries the worker's stage self times, which the parent
+adds to its own (:func:`repro.telemetry.add_totals`).
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import telemetry
 from ..config import EngineConfig
 from ..data.trajectory import MatchedTrajectory, Trajectory
 from ..matching.mma.matcher import MMAMatcher
 from ..recovery.trmma.recoverer import TRMMARecoverer
-from ..telemetry import state as telemetry_state
 from ..telemetry import log as telemetry_log
 from .payload import pack_trajectories, unpack_matched
 from .serial import SerialEngine
@@ -70,14 +70,12 @@ class ParallelEngine:
         recoverer: Optional[TRMMARecoverer] = None,
         config: Optional[EngineConfig] = None,
         workers: Optional[int] = None,
-        fault_crashes: Sequence[Tuple[int, int]] = (),
     ) -> None:
         self.matcher = matcher
         self.recoverer = recoverer
         self.config = config or EngineConfig()
         resolved = self.config.resolve_workers() if workers is None else workers
         self.workers = max(int(resolved), 1)
-        self._fault_crashes = tuple(fault_crashes)
         self._serial = SerialEngine(matcher, recoverer, self.config)
         self._workers: Dict[int, _Worker] = {}
         self._outbox: Any = None
@@ -97,11 +95,7 @@ class ParallelEngine:
         )
         ctx = mp.get_context(method)
         spec = build_worker_spec(
-            self.matcher,
-            self.recoverer,
-            engine_config=self.config,
-            telemetry_enabled=telemetry_state.enabled(),
-            fault_crashes=self._fault_crashes,
+            self.matcher, self.recoverer, engine_config=self.config
         )
         self._outbox = ctx.Queue()
         for worker_id in range(self.workers):
@@ -259,7 +253,7 @@ class ParallelEngine:
         args: Tuple[float, ...],
         base: int,
     ) -> Dict[int, Any]:
-        record_telemetry = telemetry_state.enabled()
+        record_telemetry = telemetry.enabled()
         payloads = {
             base + index: {
                 "trajectories": pack_trajectories(chunk),
@@ -357,7 +351,7 @@ class ParallelEngine:
         assigned: Dict[int, Tuple[int, float]],
         idle: "deque[int]",
     ) -> None:
-        kind, worker_id, chunk_id, payload, exported = message
+        kind, worker_id, chunk_id, payload, totals = message
         if kind == "ready":
             if worker_id in self._workers:
                 self._workers[worker_id].ready = True
@@ -379,10 +373,7 @@ class ParallelEngine:
             )
         if kind == "ok" and chunk_id not in results:
             results[chunk_id] = self._normalize_result(task_kind, payload)
-            if exported is not None and telemetry_state.enabled():
-                telemetry_state.get_registry().merge_state(
-                    exported, span_prefix=(f"worker:{worker_id}",)
-                )
+            telemetry.add_totals(totals)
 
     @staticmethod
     def _normalize_result(task_kind: str, payload: Any) -> Any:

@@ -15,8 +15,8 @@ weights and identical planner parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,18 +43,12 @@ class WorkerSpec:
     trmma_state: Optional[Dict[str, np.ndarray]] = None
     trmma_name: Optional[str] = None
     engine_config: Optional[EngineConfig] = None
-    telemetry_enabled: bool = False
-    #: Test-only fault injection: ``(worker_id, chunk_id)`` pairs on which a
-    #: worker hard-exits mid-task, simulating a crash for the retry tests.
-    fault_crashes: Tuple[Tuple[int, int], ...] = field(default_factory=tuple)
 
 
 def build_worker_spec(
     matcher: MMAMatcher,
     recoverer: Optional[TRMMARecoverer] = None,
     engine_config: Optional[EngineConfig] = None,
-    telemetry_enabled: bool = False,
-    fault_crashes: Tuple[Tuple[int, int], ...] = (),
 ) -> WorkerSpec:
     """Extract the spec from a trained matcher (and optional recoverer)."""
     trmma_config = trmma_state = trmma_name = None
@@ -81,8 +75,6 @@ def build_worker_spec(
         trmma_state=trmma_state,
         trmma_name=trmma_name,
         engine_config=engine_config,
-        telemetry_enabled=telemetry_enabled,
-        fault_crashes=tuple(fault_crashes),
     )
 
 

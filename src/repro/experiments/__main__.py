@@ -5,10 +5,10 @@
     python -m repro.experiments all --scale bench
     python -m repro.experiments fig9 --telemetry-report
 
-``--telemetry-report`` enables the telemetry subsystem for the run and
-appends the span tree plus the cache hit-rate table after the experiment
-reports; ``--quiet`` suppresses informational output (useful when only the
-persisted artefact files matter).
+``--telemetry-report`` records stage times for the run and appends the
+per-stage self-time table (worker stages included under ``--workers N``)
+after the experiment reports; ``--quiet`` suppresses informational output
+(useful when only the persisted artefact files matter).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--telemetry-report",
         action="store_true",
-        help="enable telemetry and print the span tree + cache report",
+        help="record stage times and print the per-stage self-time table",
     )
     parser.add_argument(
         "--quiet",
@@ -65,14 +65,8 @@ def main(argv=None) -> int:
         emit(run_experiment(experiment_id, scale))
         emit("")
     if args.telemetry_report:
-        emit("telemetry span tree:")
-        emit(telemetry.render_span_tree())
-        emit("")
         emit("stage totals:")
         emit(telemetry.render_stage_table())
-        emit("")
-        emit("cache registry:")
-        emit(telemetry.cache_report())
     return 0
 
 

@@ -5,8 +5,9 @@ The parallel engine forks workers (Linux default start method).
 :mod:`repro.engine.worker` is duplicated into every child at fork time;
 unless the module registers an ``os.register_at_fork(after_in_child=...)``
 reset, the child re-exports/double-counts parent state (the bug class
-once seen in ``telemetry.state``).  ALL_CAPS names without a leading
-underscore are treated as frozen constants and exempt.
+the stage-total reset in ``telemetry.spans`` guards against).  ALL_CAPS
+names without a leading underscore are treated as frozen constants and
+exempt.
 """
 
 from __future__ import annotations

@@ -55,8 +55,7 @@ class HygieneRule(Rule):
                     module,
                     node,
                     "bare print() in library code; route output through "
-                    "telemetry.log (honours --quiet and structured "
-                    "exporters)",
+                    "telemetry.log (honours --quiet)",
                 )
                 continue
             if (

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..geometry.points import LocalProjection
 from ..geometry.segments import SegmentGeometry, project_ratio
-from ..telemetry import register_cache, size_probe, span
+from ..telemetry import span
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,6 @@ class RoadNetwork:
         self.successor_table: List[List[int]] = [
             self.out_edges[s.v] for s in self.segments
         ]
-        register_cache(
-            "network.successor_table", self, size_probe("successor_table")
-        )
         # Vectorised segment geometry for the distance kernel.
         if edges:
             a = np.array([[g.ax, g.ay] for g in self._geometry])

@@ -16,7 +16,7 @@ import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..telemetry import register_cache, size_probe, span
+from ..telemetry import span
 from .cache import CacheInfo, LRUCache
 from .road_network import RoadNetwork
 
@@ -111,8 +111,6 @@ class DARoutePlanner:
         self._exit = [s.v for s in network.segments]
         self._cache = LRUCache(capacity=route_cache_capacity)
         self._cost_cache: dict = {}
-        register_cache("planner.route_cache", self._cache)
-        register_cache("planner.cost_cache", self, size_probe("_cost_cache"))
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the plan memo (Figs. 5/9 efficiency probes)."""

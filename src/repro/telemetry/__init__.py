@@ -1,14 +1,11 @@
-"""``repro.telemetry`` — dependency-free tracing and profiling.
+"""``repro.telemetry`` — the per-stage self-time recorder and the logger.
 
-The paper's headline claim is efficiency, so the repo needs to know *where*
-time goes, not just how long an experiment took.  This package provides:
-
-* span-based tracing (:func:`span` / :func:`traced`) whose nested spans
-  form a tree via :mod:`contextvars`, held in a process-global
-  :class:`~repro.telemetry.metrics.MetricsRegistry`,
-* a central cache registry reporting every LRU/memo hit rate at once,
-* reports: the span tree and the per-stage breakdown tables of
-  Figs. 5/9 (:func:`capture_stages`).
+The paper's efficiency claims (Figs. 5 and 9) are claims about where
+inference time goes.  :func:`span` attributes time to the pipeline stages
+(candidates, features, model, routing, decode) as self seconds;
+:func:`capture_stages` yields the breakdown of one block and
+:func:`render_stage_table` prints it.  Engine workers ship their totals
+back with every share (:func:`take_totals` / :func:`add_totals`).
 
 Disabled by default — every call site pays only a flag check.  Enable with
 ``REPRO_TELEMETRY=1`` or :func:`enable`.  See ``docs/OBSERVABILITY.md``.
@@ -17,38 +14,22 @@ Disabled by default — every call site pays only a flag check.  Enable with
 from __future__ import annotations
 
 from . import log
-from .caches import (
-    CacheProbe,
-    all_cache_info,
-    cache_report,
-    clear_cache_registry,
-    register_cache,
-    size_probe,
-    unregister_cache,
-)
-from .exporters import (
+from .spans import (
     PIPELINE_STAGES,
     StageCapture,
+    add_totals,
     capture_stages,
-    render_span_tree,
-    render_stage_table,
-)
-from .metrics import MetricsRegistry, SpanStats
-from .spans import current_path, span, traced
-from .state import (
     disable,
     enable,
     enabled,
-    enabled_scope,
-    get_registry,
-    reset,
+    render_stage_table,
+    span,
+    stage_totals,
+    take_totals,
 )
 
 __all__ = [
-    "CacheProbe", "MetricsRegistry", "PIPELINE_STAGES", "SpanStats",
-    "StageCapture", "all_cache_info", "cache_report", "capture_stages",
-    "clear_cache_registry", "current_path", "disable", "enable", "enabled",
-    "enabled_scope", "get_registry", "log", "register_cache",
-    "render_span_tree", "render_stage_table", "reset", "size_probe", "span",
-    "traced", "unregister_cache",
+    "PIPELINE_STAGES", "StageCapture", "add_totals", "capture_stages",
+    "disable", "enable", "enabled", "log", "render_stage_table", "span",
+    "stage_totals", "take_totals",
 ]

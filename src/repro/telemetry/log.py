@@ -6,7 +6,7 @@ on stdout (so shell redirection and ``capsys`` keep working), but gain a
 uniform prefix, severity filtering, and a ``--quiet`` switch that drops
 everything below WARNING.
 
-``emit`` intentionally prints multi-line artefacts (tables, span trees)
+``emit`` intentionally prints multi-line artefacts (report and stage tables)
 without a prefix on continuation lines — they are data, not chatter.
 """
 
@@ -73,7 +73,7 @@ def set_quiet(quiet: bool = True) -> None:
 
 
 def emit(message: str) -> None:
-    """Log a user-facing artefact (report table, span tree) at INFO."""
+    """Log a user-facing artefact (report or stage table) at INFO."""
     get_logger().info(message)
 
 

@@ -6,6 +6,6 @@ from repro.telemetry import span
 
 def report(stage: str) -> None:
     print("bootstrap failure, logger unavailable")  # reprolint: allow[RL004] reason=pre-telemetry bootstrap error path
-    # reprolint: allow[RL004] reason=worker span roots are worker:<id> by protocol, enumerated in OBSERVABILITY.md
+    # reprolint: allow[RL004] reason=stage names come from the caller, enumerated in OBSERVABILITY.md
     with span(stage):
         pass

@@ -7,6 +7,7 @@ worker count, chunking, crashes or retries.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -186,15 +187,30 @@ def test_requests_split_into_one_share_per_live_worker(
         assert list(parallel._workers) == [0]
 
 
-def test_worker_crash_triggers_retry(trained, trajectories, dataset):
-    matcher, recoverer = trained
-    config = EngineConfig(engine="parallel", workers=2, chunk_size=3, batch_size=8)
-    serial = SerialEngine(matcher, recoverer, config)
+def crash_on(monkeypatch, *crashes):
+    """Make forked workers hard-exit on the listed ``(worker_id, chunk_id)``
+    tasks: a crash mid-task, with no reply and no cleanup."""
+    worker_main = parallel_module.worker_main
+
+    def crashing_worker_main(worker_id, spec, inbox, outbox):
+        class CrashingInbox:
+            def get(self):
+                message = inbox.get()
+                if message is not None and (worker_id, message[0]) in crashes:
+                    os._exit(17)
+                return message
+
+        worker_main(worker_id, spec, CrashingInbox(), outbox)
+
+    monkeypatch.setattr(parallel_module, "worker_main", crashing_worker_main)
+
+
+def test_worker_crash_triggers_retry(trained, trajectories, dataset, monkeypatch):
     # Worker 0 dies on the first chunk: the chunk must be retried on the
     # surviving pool and the final outputs stay bit-exact.
-    with ParallelEngine(
-        matcher, recoverer, config, fault_crashes=((0, 0),)
-    ) as parallel:
+    crash_on(monkeypatch, (0, 0))
+    serial, parallel = engine_pair(trained, start_method="fork")
+    with parallel:
         assert_recovered_equal(
             parallel.recover(trajectories, dataset.epsilon),
             serial.recover(trajectories, dataset.epsilon),
@@ -202,13 +218,12 @@ def test_worker_crash_triggers_retry(trained, trajectories, dataset):
         assert len(parallel._workers) == 1  # the crashed worker is discarded
 
 
-def test_all_workers_dead_falls_back_inline(trained, trajectories, dataset):
-    matcher, recoverer = trained
-    config = EngineConfig(engine="parallel", workers=2, chunk_size=3, batch_size=8)
-    serial = SerialEngine(matcher, recoverer, config)
-    with ParallelEngine(
-        matcher, recoverer, config, fault_crashes=((0, 0), (1, 1))
-    ) as parallel:
+def test_all_workers_dead_falls_back_inline(
+    trained, trajectories, dataset, monkeypatch
+):
+    crash_on(monkeypatch, (0, 0), (1, 1))
+    serial, parallel = engine_pair(trained, start_method="fork")
+    with parallel:
         assert_recovered_equal(
             parallel.recover(trajectories, dataset.epsilon),
             serial.recover(trajectories, dataset.epsilon),

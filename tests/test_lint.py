@@ -101,7 +101,7 @@ def test_worker_reachability_matches_engine_imports():
     for module in (
         "repro.engine.worker",
         "repro.engine.payload",
-        "repro.telemetry.caches",
+        "repro.telemetry.spans",
         "repro.nn.tensor",
         "repro.network.road_network",
     ):

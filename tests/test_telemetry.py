@@ -1,9 +1,9 @@
-"""The telemetry subsystem: spans, caches, stage reports, overhead.
+"""The stage-time recorder: self times, capture, stage table, overhead.
 
-Covers span nesting/attribution correctness, enable/disable toggling, the
-span-tree and stage-table reports, the central cache registry, span
-merging across parallel-engine workers, and a ``perf_smoke``-marked bound
-on disabled-mode overhead against the fig9 micro-benchmark.
+Covers self-time attribution (pinned exactly with a fake clock),
+enable/disable toggling, the stage table, stage capture, the stage totals
+parallel-engine workers ship back, and a ``perf_smoke``-marked bound on
+disabled-mode overhead against the fig9 micro-benchmark.
 """
 
 from __future__ import annotations
@@ -17,24 +17,35 @@ import pytest
 
 from repro import telemetry
 from repro.engine import worker as engine_worker
-from repro.telemetry import state as telemetry_state
-from repro.telemetry.metrics import MetricsRegistry, percentile
-from repro.telemetry.state import _env_enabled
-from repro.network.cache import LRUCache
+from repro.telemetry import spans as telemetry_spans
+from repro.telemetry.spans import _env_enabled
 
 
 @pytest.fixture()
 def clean_telemetry():
-    """Fresh registry + disabled telemetry, prior state restored after."""
+    """No recorded totals + disabled telemetry, prior state restored after."""
     was_enabled = telemetry.enabled()
     telemetry.disable()
-    telemetry.reset()
+    telemetry.take_totals()
     yield
-    telemetry.reset()
+    telemetry.take_totals()
     if was_enabled:
         telemetry.enable()
     else:
         telemetry.disable()
+
+
+@pytest.fixture()
+def fake_clock(monkeypatch):
+    """A ``perf_counter`` that only moves when the test advances it."""
+    clock = SimpleNamespace(now=0.0)
+
+    def advance(seconds):
+        clock.now += seconds
+
+    clock.advance = advance
+    monkeypatch.setattr(telemetry_spans, "perf_counter", lambda: clock.now)
+    return clock
 
 
 class TestToggle:
@@ -45,15 +56,6 @@ class TestToggle:
         telemetry.disable()
         assert not telemetry.enabled()
 
-    def test_enabled_scope_restores(self, clean_telemetry):
-        with telemetry.enabled_scope(True):
-            assert telemetry.enabled()
-        assert not telemetry.enabled()
-        telemetry.enable()
-        with telemetry.enabled_scope(False):
-            assert not telemetry.enabled()
-        assert telemetry.enabled()
-
     def test_env_parsing(self):
         for value in ("1", "true", "yes", "on", "anything"):
             assert _env_enabled(value)
@@ -63,101 +65,62 @@ class TestToggle:
     def test_disabled_spans_record_nothing(self, clean_telemetry):
         with telemetry.span("ghost"):
             pass
-        assert not telemetry.get_registry().spans
+        assert telemetry.stage_totals() == {}
 
 
 class TestSpans:
-    def test_nesting_builds_paths(self, clean_telemetry):
+    def test_self_time_attribution(self, clean_telemetry, fake_clock):
         telemetry.enable()
-        with telemetry.span("a"):
-            with telemetry.span("b"):
-                pass
-            with telemetry.span("b"):
-                pass
-        with telemetry.span("c"):
-            pass
-        spans = telemetry.get_registry().spans
-        assert set(spans) == {("a",), ("a", "b"), ("c",)}
-        assert spans[("a", "b")].count == 2
-        assert spans[("a",)].count == 1
+        with telemetry.span("root"):
+            fake_clock.advance(0.25)
+            with telemetry.span("x"):
+                fake_clock.advance(0.125)
+                with telemetry.span("deep"):
+                    fake_clock.advance(0.125)
+            with telemetry.span("y"):
+                fake_clock.advance(0.25)
+            fake_clock.advance(0.25)
+        assert telemetry.stage_totals() == {
+            "root": 0.5, "x": 0.125, "deep": 0.125, "y": 0.25,
+        }
+        # Self times over the whole tree sum to the root's duration exactly.
+        assert sum(telemetry.stage_totals().values()) == 1.0
+        assert telemetry_spans._open == []
 
-    def test_self_time_attribution(self, clean_telemetry):
-        registry = telemetry.get_registry()
-        registry.record_span(("root",), 1.0)
-        registry.record_span(("root", "x"), 0.3)
-        registry.record_span(("root", "x", "deep"), 0.1)
-        registry.record_span(("root", "y"), 0.2)
-        assert registry.self_seconds(("root",)) == pytest.approx(0.5)
-        assert registry.self_seconds(("root", "x")) == pytest.approx(0.2)
-        # Self times over the whole tree sum to the root total exactly.
-        stages = registry.stage_totals()
-        assert sum(stages.values()) == pytest.approx(1.0)
-        assert stages["x"] == pytest.approx(0.2)
-        assert stages["deep"] == pytest.approx(0.1)
+    def test_nested_same_name_not_double_counted(
+        self, clean_telemetry, fake_clock
+    ):
+        # stitch -> plan both record as "routing"; the stage total must equal
+        # the outer span's duration, not outer + inner.
+        telemetry.enable()
+        with telemetry.span("routing"):
+            fake_clock.advance(0.375)
+            with telemetry.span("routing"):
+                fake_clock.advance(0.625)
+        assert telemetry.stage_totals() == {"routing": 1.0}
 
-    def test_nested_same_name_not_double_counted(self, clean_telemetry):
-        # stitch -> plan both record as "routing"; stage totals must equal
-        # the outer span's total, not outer + inner.
-        registry = telemetry.get_registry()
-        registry.record_span(("routing",), 1.0)
-        registry.record_span(("routing", "routing"), 0.6)
-        assert registry.stage_totals()["routing"] == pytest.approx(1.0)
-
-    def test_span_survives_exception(self, clean_telemetry):
+    def test_span_survives_exception(self, clean_telemetry, fake_clock):
         telemetry.enable()
         with pytest.raises(RuntimeError):
-            with telemetry.span("boom"):
-                raise RuntimeError("x")
-        assert ("boom",) in telemetry.get_registry().spans
-        assert telemetry.current_path() == ()
+            with telemetry.span("outer"):
+                with telemetry.span("boom"):
+                    fake_clock.advance(0.5)
+                    raise RuntimeError("x")
+        assert telemetry.stage_totals() == {"outer": 0.0, "boom": 0.5}
+        assert telemetry_spans._open == []
 
-    def test_traced_decorator_bare_and_named(self, clean_telemetry):
+    def test_take_and_add_totals(self, clean_telemetry, fake_clock):
         telemetry.enable()
-
-        @telemetry.traced
-        def alpha():
-            return 1
-
-        @telemetry.traced("custom")
-        def beta():
-            return 2
-
-        assert alpha() == 1 and beta() == 2
-        spans = telemetry.get_registry().spans
-        assert ("alpha",) in spans and ("custom",) in spans
-
-class TestMetrics:
-    def test_percentile(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([3.0], 95) == 3.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
-        assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
-        with pytest.raises(ValueError):
-            percentile([1.0], 200)
-
-    def test_span_samples_capped(self, clean_telemetry):
-        from repro.telemetry.metrics import MAX_SPAN_SAMPLES
-
-        registry = telemetry.get_registry()
-        for _ in range(MAX_SPAN_SAMPLES + 10):
-            registry.record_span(("hot",), 0.001)
-        stats = registry.spans[("hot",)]
-        assert stats.count == MAX_SPAN_SAMPLES + 10
-        assert len(stats.samples) == MAX_SPAN_SAMPLES
+        with telemetry.span("model"):
+            fake_clock.advance(0.5)
+        assert telemetry.take_totals() == {"model": 0.5}
+        assert telemetry.stage_totals() == {}
+        telemetry.add_totals({"model": 0.25, "features": 0.125})
+        telemetry.add_totals({"model": 0.25})
+        assert telemetry.stage_totals() == {"model": 0.5, "features": 0.125}
 
 
 class TestExporters:
-    def test_span_tree_render(self, clean_telemetry):
-        registry = MetricsRegistry()
-        registry.record_span(("inference",), 1.0)
-        registry.record_span(("inference", "model"), 0.125)
-        registry.record_span(("inference", "model"), 0.125)
-        out = telemetry.render_span_tree(registry)
-        lines = out.splitlines()
-        assert "inference" in lines[2]
-        assert lines[3].startswith("  model")  # child indented under parent
-        assert "p95 ms" in lines[0]
-
     def test_stage_table_orders_pipeline_stages_first(self):
         stages = {"zeta": 0.1, "model": 0.2, "candidates": 0.3}
         out = telemetry.render_stage_table(stages, window_seconds=0.6)
@@ -167,93 +130,48 @@ class TestExporters:
         assert "coverage 100.0%" in lines[-1]
 
     def test_empty_renders_degrade_gracefully(self, clean_telemetry):
-        assert "no spans" in telemetry.render_span_tree()
+        assert "no stage timings" in telemetry.render_stage_table()
         assert "no stage timings" in telemetry.render_stage_table({})
 
 
 class TestCaptureStages:
-    def test_capture_enables_only_inside_block(self, clean_telemetry):
+    def test_capture_enables_only_inside_block(
+        self, clean_telemetry, fake_clock
+    ):
         assert not telemetry.enabled()
         with telemetry.capture_stages() as capture:
             assert telemetry.enabled()
             with telemetry.span("model"):
-                time.sleep(0.002)
+                fake_clock.advance(0.5)
+            fake_clock.advance(0.5)
         assert not telemetry.enabled()
-        assert capture.stages["model"] > 0
-        assert capture.window_seconds >= capture.stages["model"]
-        assert 0 < capture.coverage <= 1.0
+        assert capture.stages == {"model": 0.5}
+        assert capture.window_seconds == 1.0
+        assert capture.coverage == 0.5
 
-    def test_capture_diffs_preexisting_spans(self, clean_telemetry):
+    def test_capture_diffs_preexisting_spans(
+        self, clean_telemetry, fake_clock
+    ):
         telemetry.enable()
-        registry = telemetry.get_registry()
-        registry.record_span(("model",), 100.0)  # stale pre-capture time
+        telemetry.add_totals({"model": 100.0})  # stale pre-capture time
         with telemetry.capture_stages() as capture:
             with telemetry.span("model"):
-                time.sleep(0.001)
-        assert capture.stages["model"] < 1.0  # only the in-block delta
+                fake_clock.advance(0.5)
+        assert capture.stages == {"model": 0.5}  # only the in-block delta
+        assert telemetry.enabled()  # the prior state is restored
+        assert telemetry.stage_totals() == {"model": 100.5}
 
-    def test_capture_nested_self_time(self, clean_telemetry):
+    def test_capture_nested_self_time(self, clean_telemetry, fake_clock):
+        telemetry.add_totals({"features": 2.0})
         with telemetry.capture_stages() as capture:
             with telemetry.span("features"):
+                fake_clock.advance(0.25)
                 with telemetry.span("candidates"):
-                    time.sleep(0.002)
-        assert set(capture.stages) >= {"features", "candidates"}
-        assert capture.stages["candidates"] >= 0.001
-
-
-class TestCacheRegistry:
-    def test_register_and_report(self):
-        cache = LRUCache(capacity=4)
-        name = telemetry.register_cache("test.lru", cache)
-        try:
-            cache.put("a", 1)
-            cache.get("a")
-            cache.get("missing")
-            info = telemetry.all_cache_info()[name]
-            assert info.hits == 1 and info.misses == 1
-            assert info.hit_rate == pytest.approx(0.5)
-            report = telemetry.cache_report()
-            assert name in report and "50.0%" in report
-        finally:
-            telemetry.unregister_cache(name)
-
-    def test_size_probe_and_dedup(self):
-        class Owner:
-            table = [1, 2, 3]
-
-        owner_a, owner_b = Owner(), Owner()
-        first = telemetry.register_cache(
-            "test.table", owner_a, telemetry.size_probe("table")
-        )
-        second = telemetry.register_cache(
-            "test.table", owner_b, telemetry.size_probe("table")
-        )
-        try:
-            assert first == "test.table"
-            assert second != first  # deduplicated with a suffix
-            info = telemetry.all_cache_info()
-            assert info[second].size == 3
-            assert info[second].hit_rate is None
-        finally:
-            telemetry.unregister_cache(first)
-            telemetry.unregister_cache(second)
-
-    def test_dead_owners_are_pruned(self):
-        cache = LRUCache(capacity=4)
-        name = telemetry.register_cache("test.ephemeral", cache)
-        assert name in telemetry.all_cache_info()
-        del cache
-        assert name not in telemetry.all_cache_info()
-
-    def test_pipeline_caches_registered(self, tiny_dataset):
-        from repro.network.routing import DARoutePlanner
-
-        planner = DARoutePlanner(tiny_dataset.network)
-        info = telemetry.all_cache_info()
-        assert any(n.startswith("network.successor_table") for n in info)
-        assert any(n.startswith("planner.route_cache") for n in info)
-        assert any(n.startswith("planner.cost_cache") for n in info)
-        del planner
+                    fake_clock.advance(0.5)
+        assert capture.stages == {"features": 0.25, "candidates": 0.5}
+        assert telemetry.stage_totals() == {
+            "features": 2.25, "candidates": 0.5,
+        }
 
 
 # --------------------------------------------------------------- end to end
@@ -322,7 +240,9 @@ class TestPipelineInstrumentation:
 
 
 @pytest.mark.perf_smoke
-def test_disabled_overhead_negligible(telemetry_matcher, clean_telemetry):
+def test_disabled_overhead_negligible(
+    telemetry_matcher, clean_telemetry, monkeypatch
+):
     """Disabled-mode telemetry must cost <2% of fig9 micro-benchmark time.
 
     The per-match overhead is (spans per trajectory) x (disabled span
@@ -345,12 +265,20 @@ def test_disabled_overhead_negligible(telemetry_matcher, clean_telemetry):
 
     # Count the spans one batched match actually opens (features, nested
     # candidates, per-bucket model, per-trajectory stitch + per-leg plans).
+    opened = []
+
+    class CountingSpan(telemetry_spans._Span):
+        __slots__ = ()
+
+        def __enter__(self):
+            opened.append(self._name)
+            return super().__enter__()
+
+    monkeypatch.setattr(telemetry_spans, "_Span", CountingSpan)
     with telemetry.capture_stages():
         matcher.match_many(trajectories, batch_size=8)
-    span_count = sum(
-        s.count for s in telemetry.get_registry().spans.values()
-    )
-    spans_per_match = span_count / len(trajectories)
+    spans_per_match = len(opened) / len(trajectories)
+    assert spans_per_match > 0
 
     overhead_fraction = spans_per_match * span_cost / per_match
     # The <2% bound is gated on core count (BENCH_PR3 convention): on a
@@ -364,20 +292,22 @@ def test_disabled_overhead_negligible(telemetry_matcher, clean_telemetry):
         )
 
 
-# ------------------------------------------------------ parallel engine spans
+# ----------------------------------------------- parallel engine stage totals
 
 
 class TestWorkerSpans:
     def test_failed_task_spans_do_not_leak_into_next_export(
-        self, clean_telemetry, monkeypatch
+        self, clean_telemetry, fake_clock, monkeypatch
     ):
-        """A task that raises must not ship its spans with the next chunk."""
+        """A task that raises must not ship its stage times with the next."""
 
         def execute_task(engine, kind, payload):
             if kind == "boom":
                 with telemetry.span("boom"):
+                    fake_clock.advance(1.0)
                     raise RuntimeError("task failed")
             with telemetry.span("fine"):
+                fake_clock.advance(0.25)
                 return kind
 
         monkeypatch.setattr(
@@ -385,20 +315,18 @@ class TestWorkerSpans:
         )
         monkeypatch.setattr(engine_worker, "execute_task", execute_task)
         # worker_main switches telemetry off process-wide; restore it after.
-        monkeypatch.setattr(telemetry_state, "_enabled", telemetry.enabled())
-        spec = SimpleNamespace(fault_crashes=(), telemetry_enabled=False)
+        monkeypatch.setattr(telemetry_spans, "_enabled", telemetry.enabled())
         inbox, outbox = queue.Queue(), queue.Queue()
         inbox.put((0, "boom", {"telemetry": True}))
         inbox.put((1, "fine", {"telemetry": True}))
         inbox.put(None)
 
-        engine_worker.worker_main(0, spec, inbox, outbox)
+        engine_worker.worker_main(0, SimpleNamespace(), inbox, outbox)
 
         replies = [outbox.get_nowait() for _ in range(outbox.qsize())]
         assert [r[0] for r in replies] == ["ready", "error", "ok"]
-        exported = replies[-1][4]
-        assert set(exported["spans"]) == {("fine",)}
-        assert not telemetry.get_registry().spans
+        assert replies[-1][4] == {"fine": 0.25}
+        assert telemetry.stage_totals() == {}
 
     def test_parallel_run_merges_worker_spans(
         self, tiny_dataset, clean_telemetry
@@ -424,20 +352,15 @@ class TestWorkerSpans:
         config = EngineConfig(
             engine="parallel", workers=2, chunk_size=2, batch_size=4
         )
-        with telemetry.enabled_scope(True):
-            with ParallelEngine(matcher, config=config) as engine:
-                engine.match(trajectories)
+        # Recorded before the fork: a worker must not ship it back again.
+        telemetry.add_totals({"parent-only": 1.0})
+        telemetry.enable()
+        with ParallelEngine(matcher, config=config) as engine:
+            engine.match(trajectories)
+        telemetry.disable()
 
-        registry = telemetry.get_registry()
-        worker_roots = {
-            path[0] for path in registry.spans if path[0].startswith("worker:")
-        }
-        assert worker_roots
-        assert worker_roots <= {"worker:0", "worker:1"}
-        worker_leaves = {
-            path[-1] for path in registry.spans if path[0] in worker_roots
-        }
-        assert {"candidates", "features", "model"} <= worker_leaves
-        assert {"candidates", "features", "model"} <= set(
-            registry.stage_totals()
-        )
+        # The parent ran no inference itself: these stages were recorded in
+        # the workers and shipped back with their shares.
+        totals = telemetry.stage_totals()
+        assert {"candidates", "features", "model"} <= set(totals)
+        assert totals["parent-only"] == 1.0
