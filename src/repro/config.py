@@ -9,8 +9,6 @@ every call site.  This module consolidates them into three dataclasses —
 All configs are frozen, validate on construction, and round-trip through
 ``from_dict`` / ``to_dict`` (rejecting unknown keys), so experiment
 registries, the CLI and serialized run manifests share one source of truth.
-Being plain picklable values, they are also what the parallel engine ships
-to its workers to rebuild models process-side.
 """
 
 from __future__ import annotations
@@ -149,7 +147,6 @@ class EngineConfig(_Config):
     workers: int = field(default_factory=default_workers)
     chunk_size: int = 16  # smallest share of a request sent to a worker
     batch_size: int = 32  # trajectories per MMA forward; inert at >= 24
-    max_retries: int = 2  # per-share retries after worker crash/timeout
     task_timeout_s: float = 300.0  # per-share wall-clock limit
     start_method: Optional[str] = None  # "fork" | "spawn" | None = auto
 
@@ -159,7 +156,6 @@ class EngineConfig(_Config):
         _require(self.workers >= 0, f"workers must be >= 0, got {self.workers}")
         _require(self.chunk_size >= 1, "chunk_size must be >= 1")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.max_retries >= 0, "max_retries must be >= 0")
         _require(self.task_timeout_s > 0, "task_timeout_s must be positive")
         _require(self.start_method in (None, "fork", "spawn", "forkserver"),
                  f"unsupported start_method {self.start_method!r}")

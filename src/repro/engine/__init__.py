@@ -23,16 +23,12 @@ from .payload import (
     unpack_trajectories,
 )
 from .serial import SerialEngine
-from .spec import WorkerSpec, build_worker_runtime, build_worker_spec
 
 __all__ = [
     "EngineConfig",
     "ParallelEngine",
     "SerialEngine",
-    "WorkerSpec",
     "build_engine",
-    "build_worker_runtime",
-    "build_worker_spec",
     "pack_matched",
     "pack_trajectories",
     "unpack_matched",
@@ -45,17 +41,9 @@ def build_engine(
     recoverer: Optional[TRMMARecoverer] = None,
     config: Optional[EngineConfig] = None,
 ) -> Union[SerialEngine, ParallelEngine]:
-    """Engine for ``config``: serial when it resolves to 0 workers.
-
-    The parallel engine requires MMA (its worker spec rebuilds the MMA
-    model); other matchers always run serially.
-    """
+    """Engine for ``config``: serial when it resolves to 0 workers."""
     config = config or EngineConfig()
     workers = config.resolve_workers()
     if workers <= 0:
-        return SerialEngine(matcher, recoverer, config)
-    from ..matching.mma.matcher import MMAMatcher
-
-    if not isinstance(matcher, MMAMatcher):
         return SerialEngine(matcher, recoverer, config)
     return ParallelEngine(matcher, recoverer, config, workers=workers)

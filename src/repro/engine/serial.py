@@ -21,8 +21,8 @@ class SerialEngine:
     """Single-process engine over the batched matcher/recoverer paths.
 
     Its four inference methods are also the task kinds of the parallel
-    engine: a worker runs each share through the same-named method of a
-    :class:`SerialEngine` over its rebuilt models.
+    engine: a worker runs each share through the same-named method of the
+    parent's :class:`SerialEngine`.
     """
 
     def __init__(

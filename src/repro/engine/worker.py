@@ -1,26 +1,26 @@
 """Worker process entry point of the parallel engine.
 
-Each worker rebuilds the inference runtime from its :class:`WorkerSpec`
-(loading the trained weights into fresh models over the spec's road
-network, behind a :class:`~repro.engine.serial.SerialEngine`), then serves
-``(chunk_id, kind, payload)`` tasks from its inbox queue until it receives
-the ``None`` shutdown sentinel.  A chunk is one contiguous share of a
-request (see :class:`ParallelEngine`); its ``kind`` is the name of the
+Each worker runs the parent's own :class:`~repro.engine.serial.SerialEngine`:
+under ``fork`` it inherits that engine, under ``spawn`` it unpickles it once
+as its process argument.  It reports ``ready``, then serves
+``(share_id, kind, payload)`` tasks from its inbox queue until it receives
+the ``None`` shutdown sentinel.  A share is one contiguous part of a request
+(see :class:`ParallelEngine`); its ``kind`` is the name of the
 :class:`SerialEngine` method that runs it.
 
-Message protocol (all tuples ``(type, worker_id, chunk_id, payload,
+Message protocol (all tuples ``(type, worker_id, share_id, payload,
 stage_totals)`` on the shared outbox):
 
-* ``("ready", wid, None, None, None)`` — runtime built, accepting tasks.
-* ``("init_error", wid, None, traceback_str, None)`` — rebuild failed.
-* ``("ok", wid, chunk_id, result, totals)`` — task finished; ``totals`` is
+* ``("ready", wid, None, None, None)`` — accepting tasks.
+* ``("ok", wid, share_id, result, totals)`` — task finished; ``totals`` is
   :func:`~repro.telemetry.take_totals` for exactly this share (empty unless
   the task asked for telemetry).
-* ``("error", wid, chunk_id, traceback_str, None)`` — task raised; the
+* ``("error", wid, share_id, traceback_str, None)`` — task raised; the
   stage times it recorded are dropped.
 
-Worker *crashes* (the process dying mid-task) intentionally send nothing —
-the parent detects them by liveness polling and re-dispatches the chunk.
+A worker that dies (mid-task, or under ``spawn`` because its arguments
+failed to unpickle) intentionally sends nothing — the parent detects it by
+liveness polling and runs its share inline.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Any, Dict
 from .. import telemetry
 from .payload import pack_matched, unpack_trajectories
 from .serial import SerialEngine
-from .spec import WorkerSpec, build_worker_runtime
 
 #: Task kinds: the :class:`SerialEngine` methods a share can run.
 TASK_KINDS = ("match_points", "match", "recover", "match_and_recover")
@@ -56,30 +55,23 @@ def execute_task(engine: SerialEngine, kind: str, payload: Dict) -> Any:
     return result
 
 
-def worker_main(worker_id: int, spec: WorkerSpec, inbox: Any, outbox: Any) -> None:
+def worker_main(
+    worker_id: int, engine: SerialEngine, inbox: Any, outbox: Any
+) -> None:
     """Blocking serve loop; one call per worker process lifetime."""
-    try:
-        # Build with telemetry off so one-time construction spans don't
-        # ship with the first share; each task then opts in explicitly.
-        telemetry.disable()
-        engine = build_worker_runtime(spec)
-    except BaseException:
-        outbox.put(("init_error", worker_id, None, traceback.format_exc(), None))
-        return
     outbox.put(("ready", worker_id, None, None, None))
-
     while True:
         message = inbox.get()
         if message is None:
             break
-        chunk_id, kind, payload = message
+        share_id, kind, payload = message
         if payload["telemetry"]:
             telemetry.enable()
         else:
             telemetry.disable()
         try:
             result = execute_task(engine, kind, payload)
-            outbox.put(("ok", worker_id, chunk_id, result, telemetry.take_totals()))
+            outbox.put(("ok", worker_id, share_id, result, telemetry.take_totals()))
         except BaseException:
             telemetry.take_totals()  # a failed share's stage times are dropped
-            outbox.put(("error", worker_id, chunk_id, traceback.format_exc(), None))
+            outbox.put(("error", worker_id, share_id, traceback.format_exc(), None))

@@ -51,9 +51,7 @@ class MMAMatcher(MapMatcher):
         seed: SeedLike = None,
     ) -> None:
         super().__init__(network, planner)
-        #: The validated hyperparameter record of this instance; the
-        #: parallel engine rebuilds matchers from it (see
-        #: :meth:`rebuild_config`).
+        #: The validated hyperparameter record of this instance.
         self.config = config
         rng = make_rng(seed)
         self.encoder = MMAFeatureEncoder(
@@ -77,24 +75,6 @@ class MMAMatcher(MapMatcher):
             seed=rng,
         )
         self.optimizer = Adam(self.model.parameters(), lr=config.lr)
-
-    def rebuild_config(self) -> MMAConfig:
-        """Config that reconstructs this matcher's *architecture* exactly
-        (for weight transplantation, e.g. into engine workers).
-
-        Differs from :attr:`config` in two ways: Node2Vec pretraining is
-        disabled (the trained embedding arrives via ``load_state_dict``
-        instead of being re-learned), and ``d0`` is pinned to the actual
-        embedding width, which pretraining may have overridden.
-        """
-        from dataclasses import replace
-
-        return replace(
-            self.config,
-            use_node2vec=False,
-            node2vec=None,
-            d0=self.model.segment_embedding.dim,
-        )
 
     # ---------------------------------------------------------------- training
 

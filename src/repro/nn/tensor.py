@@ -77,6 +77,14 @@ class no_grad:
         _GRAD_ENABLED[0] = self._previous
 
 
+def _leaf_backward(out: "Tensor") -> None:
+    """Backward step of a tensor no op produced: nothing to propagate.
+
+    A module-level function, not a lambda, so tensors (and the models
+    holding them) pickle.
+    """
+
+
 class Tensor:
     """A NumPy array with reverse-mode automatic differentiation."""
 
@@ -95,7 +103,7 @@ class Tensor:
         # Backward closures receive their output tensor as an argument: one
         # that captured it would make every graph a reference cycle, freed
         # only by a full cyclic-GC pass instead of when the loss is dropped.
-        self._backward: Callable[["Tensor"], None] = lambda out: None
+        self._backward: Callable[["Tensor"], None] = _leaf_backward
         self._prev = _prev
         self.op = op
 

@@ -19,12 +19,13 @@ the missing point's constant-speed interpolated position, and the
 interpolated local ratio.  The paper's decoder learns this travel-progress
 geometry from millions of trajectories; at repo scale the prior supplies it
 directly while the network learns the residual (dwell at signals, speed
-variation).  Pass ``use_prior=False`` for the strictly faithful variant.
+variation).  The prior is always on: the paper's prior-free decoder is not
+kept, as no experiment measured it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -44,26 +45,23 @@ class RecoveryDecoder(Module):
     #: undertrained head from doing worse than the prior it refines).
     MAX_RATIO_CORRECTION = 0.15
 
-    def __init__(
-        self, d_h: int = 64, use_prior: bool = True, seed: SeedLike = None
-    ) -> None:
+    #: Prior basis per segment: signed offset, absolute offset, and a
+    #: Gaussian bump peaking at the expected position — the bump makes
+    #: "prefer the segment nearest the expected travel distance" linearly
+    #: learnable.
+    N_PRIOR = 3
+
+    def __init__(self, d_h: int = 64, seed: SeedLike = None) -> None:
         super().__init__()
         rng = make_rng(seed)
         self.d_h = d_h
-        self.use_prior = use_prior
-        # Prior basis per segment: signed offset, absolute offset, and a
-        # Gaussian bump peaking at the expected position — the bump makes
-        # "prefer the segment nearest the expected travel distance"
-        # linearly learnable.
-        self.n_prior = 3 if use_prior else 0
-        extra = 1 if use_prior else 0
         # GRU input: the emitted point's route-segment embedding, its ratio,
         # and its normalised timestamp (time lets the state model dwell).
         self.gru = GRUCell(d_h + 2, d_h, seed=rng)
-        # Eq. 15: w_kj = MLP([H[k] | h_j] (+ positional prior basis)).
-        self.classifier = MLP(2 * d_h + self.n_prior, d_h, 1, seed=rng)
-        # Eq. 18: ratio = sigmoid(MLP([h_j | psi_j H] (+ prior ratio))).
-        self.ratio_head = MLP(2 * d_h + extra, d_h, 1, seed=rng)
+        # Eq. 15: w_kj = MLP([H[k] | h_j | positional prior basis]).
+        self.classifier = MLP(2 * d_h + self.N_PRIOR, d_h, 1, seed=rng)
+        # Eq. 18, residual on the prior ratio: MLP([h_j | psi_j H | prior]).
+        self.ratio_head = MLP(2 * d_h + 1, d_h, 1, seed=rng)
 
     def initial_state(self, fused: Tensor) -> Tensor:
         """``h_0`` of shape (b, 1, d_h): mean pooling over the rows of each
@@ -71,29 +69,18 @@ class RecoveryDecoder(Module):
         return fused.mean(axis=-2, keepdims=True)
 
     def scores(
-        self,
-        hidden: Tensor,
-        fused: Tensor,
-        segment_priors: Optional[np.ndarray] = None,
+        self, hidden: Tensor, fused: Tensor, segment_priors: np.ndarray
     ) -> Tensor:
         """Segment scores ``w_{k,j}`` of shape (b, l_R) (Eq. 15).
 
         ``hidden`` is (b, 1, d_h), ``fused`` a (b, l_R, d_h) stack of equal
-        route lengths and ``segment_priors`` (b, l_R, n_prior).  Each row
+        route lengths and ``segment_priors`` (b, l_R, N_PRIOR).  Each row
         runs the classifier as its own (l_R, K) matmul slice, so a row's
         scores do not depend on the other rows in the stack.
         """
         b, l_route = fused.shape[0], fused.shape[1]
         tiled = hidden * Tensor(np.ones((1, l_route, 1)))
-        parts = [fused, tiled]
-        if self.use_prior:
-            prior = (
-                segment_priors
-                if segment_priors is not None
-                else np.zeros((b, l_route, self.n_prior))
-            )
-            parts.append(Tensor(prior))
-        pair = concat(parts, axis=-1)
+        pair = concat([fused, tiled, Tensor(segment_priors)], axis=-1)
         return self.classifier(pair).reshape(b, l_route)
 
     def readout(self, fused: Tensor, scores: Tensor) -> Tensor:
@@ -103,29 +90,18 @@ class RecoveryDecoder(Module):
         return psi.matmul(fused)
 
     def ratio(
-        self,
-        hidden: Tensor,
-        readout: Tensor,
-        prior_ratio: Optional[np.ndarray] = None,
+        self, hidden: Tensor, readout: Tensor, prior_ratio: np.ndarray
     ) -> Tensor:
         """Predicted position ratios of shape (b,) (Eq. 18).
 
         ``hidden`` and ``readout`` are (b, 1, d_h) stacks of any route
-        lengths; ``prior_ratio`` is (b,).  With the positional prior the
-        head is *residual*: it predicts a bounded correction ``tanh(.)/2``
-        on top of the constant-speed prior ratio, which converges in a
-        handful of epochs at repo scale.  The faithful variant
-        (``use_prior=False``) is the paper's direct ``sigmoid(MLP(.))``.
+        lengths; ``prior_ratio`` is (b,).  The head is *residual*: it
+        predicts a bounded correction on top of the constant-speed prior
+        ratio, which converges in a handful of epochs at repo scale (the
+        paper's head is a direct ``sigmoid(MLP(.))``).
         """
         b = hidden.shape[0]
-        if not self.use_prior:
-            raw = self.ratio_head(concat([hidden, readout], axis=-1))
-            return raw.sigmoid().reshape(b)
-        prior = Tensor(
-            np.zeros((b, 1, 1))
-            if prior_ratio is None
-            else np.asarray(prior_ratio).reshape(b, 1, 1)
-        )
+        prior = Tensor(np.asarray(prior_ratio).reshape(b, 1, 1))
         raw = self.ratio_head(concat([hidden, readout, prior], axis=-1))
         # Not clipped into [0, 1) here: values are clamped at decode time,
         # and training keeps the gradient alive through the pass-through.
@@ -135,8 +111,8 @@ class RecoveryDecoder(Module):
         self,
         hidden: Tensor,
         fused: Tensor,
-        segment_priors: Optional[np.ndarray] = None,
-        prior_ratio: Optional[np.ndarray] = None,
+        segment_priors: np.ndarray,
+        prior_ratio: np.ndarray,
     ) -> Tuple[Tensor, Tensor]:
         """One decoding step of an equal-``l_R`` stack: (segment scores,
         predicted ratios)."""

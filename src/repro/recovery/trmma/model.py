@@ -137,7 +137,6 @@ class TRMMAModel(Module):
         ffn_hidden: int,
         ratio_weight: float,
         use_fusion: bool,
-        use_prior: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -151,7 +150,7 @@ class TRMMAModel(Module):
             use_fusion=use_fusion,
             seed=rng,
         )
-        self.decoder = RecoveryDecoder(d_h=d_h, use_prior=use_prior, seed=rng)
+        self.decoder = RecoveryDecoder(d_h=d_h, seed=rng)
         self.ratio_weight = ratio_weight
 
     # ------------------------------------------------------------------ prior

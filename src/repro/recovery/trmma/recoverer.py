@@ -44,8 +44,7 @@ class TRMMARecoverer(TrajectoryRecoverer):
         if name:
             self.name = name
         self.matcher = matcher
-        #: The validated hyperparameter record of this instance; the
-        #: parallel engine rebuilds recoverers from it.
+        #: The validated hyperparameter record of this instance.
         self.config = config
         self.model = TRMMAModel(
             network.n_segments,

@@ -1,14 +1,15 @@
-"""Execution-engine tests: worker spec, dispatch, parity, fault recovery.
+"""Execution-engine tests: payloads, dispatch, parity, fault recovery.
 
 The parallel engine's contract is that it is a pure throughput optimisation
 — every output must be bit-exact with the serial batched path regardless of
-worker count, chunking, crashes or retries.
+worker count, share sizes, crashes or timeouts.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import pytest
 
@@ -22,7 +23,6 @@ from repro.engine.payload import (
     unpack_matched,
     unpack_trajectories,
 )
-from repro.engine.spec import build_worker_runtime, build_worker_spec
 from repro.matching import NearestMatcher
 from repro.matching.mma.matcher import MMAMatcher
 from repro.network.node2vec import Node2VecConfig
@@ -67,7 +67,7 @@ def assert_recovered_equal(a, b):
             assert (pa.edge_id, pa.ratio, pa.t) == (pb.edge_id, pb.ratio, pb.t)
 
 
-# ------------------------------------------------------- payload and spec
+# ------------------------------------------------- payload and engine pickle
 
 
 def test_payload_roundtrip(trajectories, trained, dataset):
@@ -89,23 +89,17 @@ def test_payload_roundtrip(trajectories, trained, dataset):
     assert unpack_matched(pack_matched([])) == []
 
 
-def test_worker_runtime_is_bit_exact(trained, trajectories, dataset):
+def test_engine_pickles_bit_exact(trained, trajectories, dataset):
+    """A spawned worker runs an unpickled copy of the parent's engine."""
     matcher, recoverer = trained
-    spec = build_worker_spec(matcher, recoverer)
+    engine = SerialEngine(matcher, recoverer)
+    copy = pickle.loads(pickle.dumps(engine))
     subset = trajectories[:6]
-    # A forked worker inherits the spec; a spawned one unpickles it.
-    for received in (spec, pickle.loads(pickle.dumps(spec))):
-        runtime = build_worker_runtime(received)
-        assert runtime.matcher.match_points_many(
-            subset, batch_size=4
-        ) == matcher.match_points_many(subset, batch_size=4)
-        assert runtime.matcher.match_many(
-            subset, batch_size=4
-        ) == matcher.match_many(subset, batch_size=4)
-        assert_recovered_equal(
-            runtime.recoverer.recover_many(subset, dataset.epsilon, batch_size=4),
-            recoverer.recover_many(subset, dataset.epsilon, batch_size=4),
-        )
+    assert copy.match(subset) == engine.match(subset)
+    assert_recovered_equal(
+        copy.recover(subset, dataset.epsilon),
+        engine.recover(subset, dataset.epsilon),
+    )
 
 
 # ------------------------------------------------------- parallel dispatch
@@ -145,7 +139,7 @@ def test_parallel_matches_serial(trained, trajectories, dataset):
 
 
 def test_spawned_workers_match_serial(trained, trajectories, dataset):
-    """A spawned worker gets its spec by pickle, not by fork inheritance."""
+    """A spawned worker gets the engine by pickle, not by fork inheritance."""
     serial, parallel = engine_pair(trained, start_method="spawn", workers=1)
     with parallel:
         parallel.warm_up()
@@ -188,11 +182,11 @@ def test_requests_split_into_one_share_per_live_worker(
 
 
 def crash_on(monkeypatch, *crashes):
-    """Make forked workers hard-exit on the listed ``(worker_id, chunk_id)``
+    """Make forked workers hard-exit on the listed ``(worker_id, share_id)``
     tasks: a crash mid-task, with no reply and no cleanup."""
     worker_main = parallel_module.worker_main
 
-    def crashing_worker_main(worker_id, spec, inbox, outbox):
+    def crashing_worker_main(worker_id, engine, inbox, outbox):
         class CrashingInbox:
             def get(self):
                 message = inbox.get()
@@ -200,14 +194,14 @@ def crash_on(monkeypatch, *crashes):
                     os._exit(17)
                 return message
 
-        worker_main(worker_id, spec, CrashingInbox(), outbox)
+        worker_main(worker_id, engine, CrashingInbox(), outbox)
 
     monkeypatch.setattr(parallel_module, "worker_main", crashing_worker_main)
 
 
 def test_worker_crash_triggers_retry(trained, trajectories, dataset, monkeypatch):
-    # Worker 0 dies on the first chunk: the chunk must be retried on the
-    # surviving pool and the final outputs stay bit-exact.
+    # Worker 0 dies on the first share: the share must run inline in the
+    # parent and the final outputs stay bit-exact.
     crash_on(monkeypatch, (0, 0))
     serial, parallel = engine_pair(trained, start_method="fork")
     with parallel:
@@ -228,7 +222,37 @@ def test_all_workers_dead_falls_back_inline(
             parallel.recover(trajectories, dataset.epsilon),
             serial.recover(trajectories, dataset.epsilon),
         )
-        assert not parallel._workers  # whole pool lost, chunks ran inline
+        assert not parallel._workers  # whole pool lost, shares ran inline
+
+
+def test_timed_out_shares_run_inline(
+    trained, trajectories, dataset, monkeypatch
+):
+    # Forked workers that never answer: each share passes the timeout.
+    worker_main = parallel_module.worker_main
+
+    def hanging_worker_main(worker_id, engine, inbox, outbox):
+        class HangingInbox:
+            def get(self):
+                message = inbox.get()
+                if message is not None:
+                    time.sleep(60)
+                return message
+
+        worker_main(worker_id, engine, HangingInbox(), outbox)
+
+    monkeypatch.setattr(parallel_module, "worker_main", hanging_worker_main)
+    serial, parallel = engine_pair(
+        trained, start_method="fork", task_timeout_s=1e-3
+    )
+    with parallel:
+        parallel.warm_up()
+        assert len(parallel._workers) == 2
+        assert_recovered_equal(
+            parallel.recover(trajectories, dataset.epsilon),
+            serial.recover(trajectories, dataset.epsilon),
+        )
+        assert not parallel._workers  # both timed out and were killed
 
 
 def test_task_errors_propagate(trained, trajectories):
@@ -256,12 +280,15 @@ def test_build_engine_selection(trained, monkeypatch):
         assert engine.workers == 1
 
 
-def test_build_engine_requires_mma_for_parallel(dataset):
-    engine = build_engine(
-        NearestMatcher(dataset.network),
-        config=EngineConfig(engine="parallel", workers=2),
-    )
-    assert isinstance(engine, SerialEngine)
+def test_parallel_runs_any_matcher(dataset, trajectories):
+    matcher = NearestMatcher(dataset.network)
+    config = EngineConfig(engine="parallel", workers=2, chunk_size=3)
+    serial = SerialEngine(matcher, config=config)
+    with build_engine(matcher, config=config) as parallel:
+        assert isinstance(parallel, ParallelEngine)
+        parallel.warm_up()
+        assert len(parallel._workers) == 2
+        assert parallel.match(trajectories) == serial.match(trajectories)
 
 
 def test_workers_env_default(monkeypatch):

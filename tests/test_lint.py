@@ -97,7 +97,7 @@ def test_directive_in_docstring_is_ignored():
 
 def test_worker_reachability_matches_engine_imports():
     reachable = worker_reachable_modules()
-    # The worker rebuilds matcher+recoverer: these must be in its closure.
+    # The worker runs the parent's engine: these must be in its closure.
     for module in (
         "repro.engine.worker",
         "repro.engine.payload",

@@ -1,12 +1,14 @@
 """Autograd engine: gradients verified against finite differences."""
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import MLP
 from repro.nn.tensor import (
     Tensor,
     concat,
@@ -47,6 +49,24 @@ class TestBasics:
         out = t * 3.0 + t * 4.0
         out.sum().backward()
         assert t.grad[0] == pytest.approx(7.0)
+
+    def test_tensor_pickles(self):
+        t = Tensor(randn(3, 2), requires_grad=True)
+        copy = pickle.loads(pickle.dumps(t))
+        assert np.array_equal(copy.data, t.data)
+        assert copy.requires_grad
+        (copy * 2.0).sum().backward()
+        assert np.array_equal(copy.grad, np.full((3, 2), 2.0))
+
+    def test_module_pickles(self):
+        mlp = MLP(4, 8, 2, seed=0)
+        copy = pickle.loads(pickle.dumps(mlp))
+        state, copied = mlp.state_dict(), copy.state_dict()
+        assert state.keys() == copied.keys()
+        for name in state:
+            assert np.array_equal(state[name], copied[name])
+        x = Tensor(randn(5, 4))
+        assert np.array_equal(copy(x).data, mlp(x).data)
 
     def test_graph_is_freed_without_cyclic_gc(self):
         """A dropped graph is freed by reference counting: no op leaves a

@@ -310,9 +310,6 @@ class TestWorkerSpans:
                 fake_clock.advance(0.25)
                 return kind
 
-        monkeypatch.setattr(
-            engine_worker, "build_worker_runtime", lambda spec: SimpleNamespace()
-        )
         monkeypatch.setattr(engine_worker, "execute_task", execute_task)
         # worker_main switches telemetry off process-wide; restore it after.
         monkeypatch.setattr(telemetry_spans, "_enabled", telemetry.enabled())

@@ -124,13 +124,6 @@ class TestDecoder:
         ratio = dec.ratio(hidden, readout, prior_ratio=np.array([0.6])).data[0]
         assert abs(ratio - 0.6) <= dec.MAX_RATIO_CORRECTION + 1e-9
 
-    def test_faithful_variant_uses_sigmoid(self):
-        dec = RecoveryDecoder(d_h=16, use_prior=False, seed=0)
-        fused = Tensor(np.random.default_rng(0).normal(size=(1, 5, 16)))
-        hidden = dec.initial_state(fused)
-        scores, ratio = dec.step(hidden, fused)
-        assert 0.0 < ratio.data[0] < 1.0
-
 
 class TestPriorHelpers:
     def test_point_offsets(self):
